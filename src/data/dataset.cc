@@ -31,24 +31,30 @@ class ScopedMutation {
 }  // namespace
 
 Dataset::Dataset(std::size_t num_items)
-    : num_items_(num_items), item_profiles_(num_items) {
+    : num_items_(num_items),
+      words_per_user_((num_items + 63) / 64),
+      item_profiles_(num_items) {
   CA_CHECK_GT(num_items, 0U);
 }
 
 UserId Dataset::AddUser(Profile profile) {
   ScopedMutation mutation(mutation_sentinel_);
   const UserId user = static_cast<UserId>(profiles_.size());
-  std::vector<ItemId> sorted = profile;
-  std::sort(sorted.begin(), sorted.end());
-  CA_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
-      << "duplicate item in profile of user " << user;
+  for (const ItemId item : profile) CA_CHECK_LT(item, num_items_);
+  // The new user's zeroed row doubles as the duplicate detector. On a
+  // duplicate the row is dropped again before the check fires, so the
+  // dataset is unchanged when it does.
+  membership_.resize(membership_.size() + words_per_user_, 0);
   for (const ItemId item : profile) {
-    CA_CHECK_LT(item, num_items_);
-    item_profiles_[item].push_back(user);
+    std::uint64_t& word = membership_[WordIndex(user, item)];
+    const bool duplicate = (word & Bit(item)) != 0;
+    if (duplicate) membership_.resize(membership_.size() - words_per_user_);
+    CA_CHECK(!duplicate) << "duplicate item in profile of user " << user;
+    word |= Bit(item);
   }
+  for (const ItemId item : profile) item_profiles_[item].push_back(user);
   num_interactions_ += profile.size();
   profiles_.push_back(std::move(profile));
-  sorted_items_.push_back(std::move(sorted));
   return user;
 }
 
@@ -59,8 +65,7 @@ void Dataset::AppendInteraction(UserId user, ItemId item) {
   CA_CHECK(!HasInteraction(user, item))
       << "user " << user << " already interacted with item " << item;
   profiles_[user].push_back(item);
-  auto& sorted = sorted_items_[user];
-  sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), item), item);
+  membership_[WordIndex(user, item)] |= Bit(item);
   item_profiles_[item].push_back(user);
   ++num_interactions_;
   if (journaling_) append_journal_.emplace_back(user, item);
@@ -107,8 +112,7 @@ void Dataset::RollbackTo(const DatasetCheckpoint& checkpoint) {
     CA_CHECK(!profiles_[user].empty());
     CA_CHECK_EQ(profiles_[user].back(), item);
     profiles_[user].pop_back();
-    auto& sorted = sorted_items_[user];
-    sorted.erase(std::lower_bound(sorted.begin(), sorted.end(), item));
+    membership_[WordIndex(user, item)] &= ~Bit(item);
   }
   append_journal_.resize(checkpoint.journal_size);
 
@@ -117,7 +121,7 @@ void Dataset::RollbackTo(const DatasetCheckpoint& checkpoint) {
     for (const ItemId item : profiles_[u]) truncate_item(item);
   }
   profiles_.resize(checkpoint.num_users);
-  sorted_items_.resize(checkpoint.num_users);
+  membership_.resize(checkpoint.num_users * words_per_user_);
   num_interactions_ = checkpoint.num_interactions;
 }
 
@@ -133,8 +137,8 @@ const std::vector<UserId>& Dataset::ItemProfile(ItemId item) const {
 
 bool Dataset::HasInteraction(UserId user, ItemId item) const {
   CA_CHECK_LT(user, profiles_.size());
-  const auto& sorted = sorted_items_[user];
-  return std::binary_search(sorted.begin(), sorted.end(), item);
+  if (item >= num_items_) return false;
+  return (membership_[WordIndex(user, item)] & Bit(item)) != 0;
 }
 
 std::vector<Interaction> Dataset::AllInteractions() const {

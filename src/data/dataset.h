@@ -81,7 +81,8 @@ class Dataset {
     return ItemProfile(item).size();
   }
 
-  /// True if `user` interacted with `item` (O(log profile) lookup).
+  /// True if `user` interacted with `item`: one word load from the
+  /// membership bitset, O(1). False for `item >= num_items()`.
   bool HasInteraction(UserId user, ItemId item) const;
 
   /// Flattens all interactions (user order, then sequence order).
@@ -111,10 +112,26 @@ class Dataset {
   void RollbackTo(const DatasetCheckpoint& checkpoint);
 
  private:
+  /// Index into `membership_` of the word holding (`user`, `item`), and
+  /// the item's bit within that word.
+  std::size_t WordIndex(UserId user, ItemId item) const {
+    return user * words_per_user_ + item / 64;
+  }
+  static std::uint64_t Bit(ItemId item) {
+    return std::uint64_t{1} << (item % 64);
+  }
+
   std::size_t num_items_;
   std::size_t num_interactions_ = 0;
   std::vector<Profile> profiles_;                 // ordered, per user
-  std::vector<std::vector<ItemId>> sorted_items_; // sorted copy, per user
+  /// Membership bitset, row-major: user `u`'s row is words
+  /// `[u * words_per_user_, (u + 1) * words_per_user_)` and bit `i % 64` of
+  /// word `i / 64` is set iff `u` interacted with item `i`. Costs
+  /// `num_users * ceil(num_items / 64) * 8` bytes (2.9 MB for the
+  /// LargeCross source domain), less than a sorted per-user copy of the
+  /// profiles.
+  std::size_t words_per_user_;
+  std::vector<std::uint64_t> membership_;
   std::vector<std::vector<UserId>> item_profiles_;
   /// `AppendInteraction` calls recorded since journaling was enabled by the
   /// first `Checkpoint()`; rollback undoes the suffix past a checkpoint.

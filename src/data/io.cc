@@ -1,7 +1,8 @@
 #include "data/io.h"
 
-#include <map>
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
 #include "util/csv.h"
@@ -34,59 +35,84 @@ bool SaveDomain(const Dataset& domain, const std::string& path) {
   return true;
 }
 
-/// Reads `<path>` and appends its users to `domain`. Interactions must be
-/// grouped by user with ascending positions (the format SaveDomain emits).
-/// Data row i lives on file line i + 2 (line 1 is the header).
+/// One data row of a domain file.
+struct Row {
+  std::size_t user = 0;
+  std::size_t position = 0;
+  ItemId item = 0;
+};
+
+/// Reads `<path>` and appends its users to `domain` in one streaming
+/// pass. Rows may come in any order; a repeated (user, position) keeps the
+/// last row. Data row i (counting non-blank rows, as util::CsvReader
+/// does) is reported as line i + 2 (line 1 is the header).
 bool LoadDomain(const std::string& path, Dataset* domain, IoError* error) {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-  if (!util::ReadCsv(path, &header, &rows)) {
-    return Fail(error, path, 0, "cannot open file");
-  }
-  if (header != std::vector<std::string>{"user", "item", "position"}) {
+  util::CsvReader reader(path);
+  if (!reader.ok()) return Fail(error, path, 0, "cannot open file");
+  std::vector<std::string> fields;
+  if (!reader.Next(&fields) ||
+      fields != std::vector<std::string>{"user", "item", "position"}) {
     return Fail(error, path, 1, "expected header user,item,position");
   }
-  std::map<std::size_t, std::map<std::size_t, std::size_t>> by_user;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    const std::size_t line = i + 2;
-    if (row.size() != 3) {
-      return Fail(error, path, line,
-                  "expected 3 fields, got " + std::to_string(row.size()));
+  std::vector<Row> rows;
+  while (reader.Next(&fields)) {
+    const std::size_t line_number = rows.size() + 2;
+    if (fields.size() != 3) {
+      return Fail(error, path, line_number,
+                  "expected 3 fields, got " + std::to_string(fields.size()));
     }
-    std::size_t user = 0, item = 0, position = 0;
-    if (!util::ParseSizeT(row[0], &user) ||
-        !util::ParseSizeT(row[1], &item) ||
-        !util::ParseSizeT(row[2], &position)) {
-      return Fail(error, path, line, "non-numeric field");
+    Row row;
+    std::size_t item = 0;
+    if (!util::ParseSizeT(fields[0], &row.user) ||
+        !util::ParseSizeT(fields[1], &item) ||
+        !util::ParseSizeT(fields[2], &row.position)) {
+      return Fail(error, path, line_number, "non-numeric field");
     }
     if (item >= domain->num_items()) {
-      return Fail(error, path, line,
+      return Fail(error, path, line_number,
                   "item id " + std::to_string(item) + " out of range (" +
                       std::to_string(domain->num_items()) + " items)");
     }
-    by_user[user][position] = item;
+    row.item = static_cast<ItemId>(item);
+    rows.push_back(row);
   }
+
+  // Stable, so among rows sharing a (user, position) the last one in the
+  // file stays last and wins below.
+  const auto by_user_position = [](const Row& a, const Row& b) {
+    return a.user != b.user ? a.user < b.user : a.position < b.position;
+  };
+  if (!std::is_sorted(rows.begin(), rows.end(), by_user_position)) {
+    std::stable_sort(rows.begin(), rows.end(), by_user_position);
+  }
+
   std::size_t expected_user = 0;
-  for (const auto& [user, positions] : by_user) {
+  for (std::size_t begin = 0; begin < rows.size();) {
+    const std::size_t user = rows[begin].user;
+    std::size_t end = begin;
+    while (end < rows.size() && rows[end].user == user) ++end;
     if (user != expected_user++) {
       return Fail(error, path, 0,
                   "user ids not dense: missing user " +
                       std::to_string(expected_user - 1));
     }
     Profile profile;
-    profile.reserve(positions.size());
+    profile.reserve(end - begin);
     std::size_t expected_pos = 0;
-    for (const auto& [position, item] : positions) {
-      if (position != expected_pos++) {
+    for (std::size_t r = begin; r < end; ++r) {
+      if (r + 1 < end && rows[r + 1].position == rows[r].position) {
+        continue;  // overwritten by a later row
+      }
+      if (rows[r].position != expected_pos++) {
         return Fail(error, path, 0,
                     "user " + std::to_string(user) +
                         " positions not dense: missing position " +
                         std::to_string(expected_pos - 1));
       }
-      profile.push_back(static_cast<ItemId>(item));
+      profile.push_back(rows[r].item);
     }
     domain->AddUser(std::move(profile));
+    begin = end;
   }
   return true;
 }

@@ -36,6 +36,19 @@ std::string EscapeJsonString(const std::string& text) {
   return out;
 }
 
+/// Inserts one counter into `snapshot`, keeping counters ordered by name
+/// as `MetricsRegistry::Snapshot` returns them.
+void AddCounterSorted(const std::string& name, std::uint64_t value,
+                      MetricsSnapshot* snapshot) {
+  auto& counters = snapshot->counters;
+  const auto at = std::lower_bound(
+      counters.begin(), counters.end(), name,
+      [](const auto& counter, const std::string& key) {
+        return counter.first < key;
+      });
+  counters.insert(at, {name, value});
+}
+
 bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
@@ -406,7 +419,9 @@ bool ExportAll(const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return false;
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  AddCounterSorted(kTraceOverwrittenCounter,
+                   TraceRecorder::Global().overwritten(), &snapshot);
   const std::vector<TraceEvent> events = TraceRecorder::Global().Collect();
   const std::filesystem::path base(dir);
   return WriteMetricsCsv(snapshot, (base / "metrics.csv").string()) &&

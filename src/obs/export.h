@@ -43,8 +43,14 @@ std::string EventsToChromeTrace(const std::vector<TraceEvent>& events);
 bool WriteChromeTrace(const std::vector<TraceEvent>& events,
                       const std::string& path);
 
+/// Counter that `ExportAll` adds to metrics.csv and summary.json: trace
+/// events the global recorder lost to ring wrap-around, so trace.json is
+/// incomplete whenever it is nonzero.
+inline constexpr char kTraceOverwrittenCounter[] = "obs.trace_overwritten";
+
 /// Writes the three standard exports of the *global* registry/recorder
 /// into `dir` (created if missing): metrics.csv, summary.json, trace.json.
+/// The metrics carry `kTraceOverwrittenCounter`.
 /// Returns false if the directory or any file cannot be written.
 bool ExportAll(const std::string& dir);
 

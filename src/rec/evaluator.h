@@ -43,11 +43,27 @@ std::vector<data::ItemId> SampleNegatives(const data::Dataset& filter,
                                           std::size_t count,
                                           util::Rng& rng);
 
+/// Draws the negatives of every held-out pair, in pair order:
+/// `SampleNegatives(filter, pair.user, pair.item, num_negatives, rng)` per
+/// pair. The draws depend on `filter`, `pairs` and `rng` only, never on a
+/// model, so one draw can be scored against many models.
+std::vector<std::vector<data::ItemId>> SampleHeldOutNegatives(
+    const data::Dataset& filter, const std::vector<data::HeldOut>& pairs,
+    std::size_t num_negatives, util::Rng& rng);
+
+/// Ranks each pair's item among its given negatives (`negatives[i]` for
+/// `pairs[i]`) and reports HR@k and NDCG@k for each k in `ks`.
+MetricsByK ScoreHeldOut(
+    const Recommender& model, const std::vector<data::HeldOut>& pairs,
+    const std::vector<std::vector<data::ItemId>>& negatives,
+    const std::vector<std::size_t>& ks);
+
 /// Evaluates held-out (user, item) pairs using the paper's protocol
 /// (§5.1.2): rank the test item among `num_negatives` sampled items the
 /// user did not interact with; report HR@k and NDCG@k for each k in `ks`.
 /// `filter` is the dataset whose interactions define "already seen"
-/// (normally the full, unsplit dataset).
+/// (normally the full, unsplit dataset). Equals `ScoreHeldOut` over
+/// `SampleHeldOutNegatives`.
 MetricsByK EvaluateHeldOut(const Recommender& model,
                            const data::Dataset& filter,
                            const std::vector<data::HeldOut>& pairs,

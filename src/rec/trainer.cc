@@ -13,6 +13,12 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
                                    util::Rng& rng) {
   TrainReport report;
   model.InitTraining(split.train, rng);
+  // Validation negatives depend only on `full`, `split.valid` and the
+  // seed, so every epoch would draw the same ones: draw them once.
+  util::Rng valid_rng(options.eval_seed);
+  const std::vector<std::vector<data::ItemId>> valid_negatives =
+      SampleHeldOutNegatives(full, split.valid, options.num_negatives,
+                             valid_rng);
 
   std::size_t epochs_since_best = 0;
   for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
@@ -25,10 +31,8 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
     report.epochs_run = epoch + 1;
 
     model.BeginServing(split.train);
-    util::Rng eval_rng(options.eval_seed);  // same negatives every epoch
     const MetricsByK valid =
-        EvaluateHeldOut(model, full, split.valid, {options.eval_k},
-                        options.num_negatives, eval_rng);
+        ScoreHeldOut(model, split.valid, valid_negatives, {options.eval_k});
     const double hr = valid.at(options.eval_k).hr;
     if (hr > report.best_valid_hr) {
       report.best_valid_hr = hr;

@@ -88,25 +88,28 @@ void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
 
 void CsvWriter::Flush() { out_.flush(); }
 
+CsvReader::CsvReader(const std::string& path)
+    : in_(path), opened_(static_cast<bool>(in_)) {}
+
+bool CsvReader::Next(std::vector<std::string>* fields) {
+  while (std::getline(in_, line_)) {
+    if (!line_.empty() && line_.back() == '\r') line_.pop_back();
+    if (line_.empty()) continue;
+    *fields = ParseCsvLine(line_);
+    return true;
+  }
+  return false;
+}
+
 bool ReadCsv(const std::string& path, std::vector<std::string>* header,
              std::vector<std::vector<std::string>>* rows) {
-  std::ifstream in(path);
-  if (!in) return false;
+  CsvReader reader(path);
+  if (!reader.ok()) return false;
   header->clear();
   rows->clear();
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    auto fields = ParseCsvLine(line);
-    if (first) {
-      *header = std::move(fields);
-      first = false;
-    } else {
-      rows->push_back(std::move(fields));
-    }
-  }
+  std::vector<std::string> fields;
+  if (reader.Next(&fields)) *header = std::move(fields);
+  while (reader.Next(&fields)) rows->push_back(std::move(fields));
   return true;
 }
 

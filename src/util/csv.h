@@ -34,6 +34,26 @@ class CsvWriter {
   std::size_t arity_;
 };
 
+/// Streaming CSV reader: yields one row at a time, so a caller can parse a
+/// large file without holding all of its fields. Rows follow `ReadCsv`'s
+/// rules below; blank lines are skipped and a trailing CR is dropped.
+class CsvReader {
+ public:
+  /// Opens `path` for reading. Check `ok()` before use.
+  explicit CsvReader(const std::string& path);
+
+  /// Returns true if the file opened successfully.
+  bool ok() const { return opened_; }
+
+  /// Reads the next non-blank row into `*fields`; false at end of file.
+  bool Next(std::vector<std::string>* fields);
+
+ private:
+  std::ifstream in_;
+  bool opened_;  ///< fixed at open: the stream itself fails at end of file
+  std::string line_;
+};
+
 /// Reads a whole CSV file into memory. Returns false if the file cannot be
 /// opened. The first row is returned separately as the header. Quoted
 /// fields are unescaped (doubled quotes collapse); a field must be quoted

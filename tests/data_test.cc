@@ -148,6 +148,98 @@ TEST(DatasetTest, RollbackMatchesFreshCopyOnSyntheticData) {
   EXPECT_EQ(d.ItemsByPopularity(), reference.ItemsByPopularity());
 }
 
+/// Compares `HasInteraction` for every (user, item) of `d`, plus the
+/// out-of-range item `num_items`, against a per-user set of items.
+::testing::AssertionResult MembershipMatches(
+    const Dataset& d, const std::vector<std::set<ItemId>>& reference) {
+  if (d.num_users() != reference.size()) {
+    return ::testing::AssertionFailure()
+           << d.num_users() << " users, reference has " << reference.size();
+  }
+  for (UserId u = 0; u < d.num_users(); ++u) {
+    for (ItemId i = 0; i <= d.num_items(); ++i) {
+      if (d.HasInteraction(u, i) != (reference[u].count(i) > 0)) {
+        return ::testing::AssertionFailure()
+               << "user " << u << " item " << i << ": HasInteraction says "
+               << d.HasInteraction(u, i);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(DatasetTest, MembershipBitsetMatchesSetReferenceUnderRandomOps) {
+  // 130 items: three words per bitset row, the last one partly used.
+  constexpr std::size_t kItems = 130;
+  const std::vector<ItemId> boundary = {0, 1, 62, 63, 64, 65, 127, 128, 129};
+  util::Rng rng(testhelpers::TestSeed(2024));
+  const auto draw_item = [&] {
+    return rng.Bernoulli(0.5)
+               ? boundary[rng.UniformUint64(boundary.size())]
+               : static_cast<ItemId>(rng.UniformUint64(kItems));
+  };
+
+  Dataset d(kItems);
+  std::vector<std::set<ItemId>> reference;
+  struct Saved {
+    DatasetCheckpoint checkpoint;
+    std::vector<std::set<ItemId>> reference;
+  };
+  std::vector<Saved> stack;  // nested checkpoints, oldest first
+
+  for (int op = 0; op < 400; ++op) {
+    const std::uint64_t kind = rng.UniformUint64(10);
+    std::string what;
+    if (kind < 3 || reference.empty()) {
+      std::set<ItemId> items;
+      const std::size_t length = rng.UniformUint64(12);
+      while (items.size() < length) items.insert(draw_item());
+      Profile profile(items.begin(), items.end());
+      rng.Shuffle(profile);
+      ASSERT_EQ(d.AddUser(profile), reference.size());
+      reference.push_back(std::move(items));
+      what = "AddUser";
+    } else if (kind < 7) {
+      const UserId user =
+          static_cast<UserId>(rng.UniformUint64(reference.size()));
+      const ItemId item = draw_item();
+      if (reference[user].count(item) > 0) continue;
+      d.AppendInteraction(user, item);
+      reference[user].insert(item);
+      what = "AppendInteraction";
+    } else if (kind < 8 && stack.size() < 4) {
+      stack.push_back({d.Checkpoint(), reference});
+      what = "Checkpoint";
+    } else if (!stack.empty()) {
+      // Rolling back to level j keeps j valid and drops every later one.
+      const std::size_t j = rng.UniformUint64(stack.size());
+      d.RollbackTo(stack[j].checkpoint);
+      reference = stack[j].reference;
+      stack.resize(j + 1);
+      what = "RollbackTo";
+    } else {
+      continue;
+    }
+    ASSERT_TRUE(MembershipMatches(d, reference)) << "after op " << op
+                                                 << " (" << what << ")";
+  }
+}
+
+TEST(DatasetTest, MembershipAtWordBoundaries) {
+  for (const std::size_t items : {63, 64, 65, 128, 129}) {
+    Dataset d(items);
+    const ItemId last = static_cast<ItemId>(items - 1);
+    d.AddUser({last, 0});
+    d.AddUser({});
+    if (items > 64) d.AppendInteraction(1, 64);
+    if (items > 63) d.AppendInteraction(1, 63);
+    std::vector<std::set<ItemId>> reference = {{0, last}, {}};
+    if (items > 64) reference[1].insert(64);
+    if (items > 63) reference[1].insert(63);
+    EXPECT_TRUE(MembershipMatches(d, reference)) << items << " items";
+  }
+}
+
 TEST(DatasetDeathTest, RollbackWithoutCheckpointAborts) {
   Dataset d(3);
   d.AddUser({0});
@@ -473,6 +565,74 @@ class CorruptFixture {
  private:
   std::string prefix_;
 };
+
+/// Writes `rows` (after the header) as the target file of a valid Tiny
+/// world and loads it back.
+CrossDomainDataset LoadWithTargetRows(const std::string& tag,
+                                      const std::string& rows) {
+  CorruptFixture fixture(tag);
+  fixture.Overwrite(".target.csv", "user,item,position\n" + rows);
+  CrossDomainDataset out("x", 1);
+  IoError error;
+  EXPECT_TRUE(LoadCrossDomain(fixture.prefix(), &out, &error))
+      << error.Format();
+  return out;
+}
+
+TEST(IoTest, ShuffledRowsLoadLikeSortedRows) {
+  const SyntheticWorld world =
+      GenerateSyntheticWorld(SyntheticConfig::Tiny());
+  const std::string prefix = testing::TempDir() + "/ca_io_shuffled";
+  ASSERT_TRUE(SaveCrossDomain(world.dataset, prefix));
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(prefix + ".source.csv");
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 2U);
+  std::vector<std::string> rows(lines.begin() + 1, lines.end());
+  util::Rng rng(testhelpers::TestSeed(17));
+  rng.Shuffle(rows);
+  {
+    std::ofstream out(prefix + ".source.csv", std::ios::trunc);
+    out << lines[0] << '\n';
+    for (const std::string& row : rows) out << row << '\n';
+  }
+
+  CrossDomainDataset loaded("x", 1);
+  IoError error;
+  ASSERT_TRUE(LoadCrossDomain(prefix, &loaded, &error)) << error.Format();
+  const Dataset& expected = world.dataset.source;
+  ASSERT_EQ(loaded.source.num_users(), expected.num_users());
+  for (UserId u = 0; u < expected.num_users(); ++u) {
+    EXPECT_EQ(loaded.source.UserProfile(u), expected.UserProfile(u))
+        << "user " << u;
+  }
+  for (ItemId i = 0; i < expected.num_items(); ++i) {
+    EXPECT_EQ(loaded.source.ItemProfile(i), expected.ItemProfile(i))
+        << "item " << i;
+  }
+  for (const char* suffix : {".meta.csv", ".target.csv", ".source.csv"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+TEST(IoTest, DuplicateUserPositionKeepsLastRow) {
+  const CrossDomainDataset loaded =
+      LoadWithTargetRows("dup", "0,1,0\n0,2,1\n0,3,1\n1,4,0\n0,5,0\n");
+  ASSERT_EQ(loaded.target.num_users(), 2U);
+  EXPECT_EQ(loaded.target.UserProfile(0), (Profile{5, 3}));
+  EXPECT_EQ(loaded.target.UserProfile(1), (Profile{4}));
+  EXPECT_EQ(loaded.target.num_interactions(), 3U);
+}
+
+TEST(IoTest, CrlfAndBlankLinesLoad) {
+  const CrossDomainDataset loaded =
+      LoadWithTargetRows("crlf", "0,1,0\r\n\r\n0,2,1\r\n\n1,3,0\r\n");
+  ASSERT_EQ(loaded.target.num_users(), 2U);
+  EXPECT_EQ(loaded.target.UserProfile(0), (Profile{1, 2}));
+  EXPECT_EQ(loaded.target.UserProfile(1), (Profile{3}));
+}
 
 TEST(IoCorruptTest, WrongHeaderReportsLineOne) {
   CorruptFixture fixture("header");

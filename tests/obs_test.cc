@@ -4,9 +4,12 @@
 // distribution, trace-span recording/ring semantics, and bit-exact
 // round-trips through the CSV and JSON exporters.
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -330,6 +333,38 @@ TEST_F(ObsTest, ExportAllWritesThreeFiles) {
   EXPECT_TRUE(summary.good());
   std::ifstream trace(dir + "/trace.json");
   EXPECT_TRUE(trace.good());
+}
+
+TEST_F(ObsTest, ExportAllReportsTraceEventsLostToRingWrap) {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Clear();
+  // Only threads that register after this call get the small ring, so
+  // record from a fresh thread.
+  recorder.SetRingCapacity(4);
+  obs::SetEnabled(true);
+  std::thread([] {
+    for (int i = 0; i < 10; ++i) obs::ScopedSpan span("export.overflow");
+  }).join();
+  obs::SetEnabled(false);
+  recorder.SetRingCapacity(8192);
+  ASSERT_EQ(recorder.overwritten(), 6U);
+
+  const std::string dir = testing::TempDir() + "/obs_export_lost";
+  ASSERT_TRUE(obs::ExportAll(dir));
+  std::ifstream summary_file(dir + "/summary.json");
+  const std::string summary((std::istreambuf_iterator<char>(summary_file)),
+                            std::istreambuf_iterator<char>());
+  obs::MetricsSnapshot parsed;
+  ASSERT_TRUE(obs::ParseMetricsJson(summary, &parsed));
+  const auto lost = std::find_if(
+      parsed.counters.begin(), parsed.counters.end(), [](const auto& counter) {
+        return counter.first == obs::kTraceOverwrittenCounter;
+      });
+  ASSERT_NE(lost, parsed.counters.end());
+  EXPECT_EQ(lost->second, 6U);
+  EXPECT_TRUE(std::is_sorted(
+      parsed.counters.begin(), parsed.counters.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -9,6 +10,8 @@
 
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "math/metrics.h"
+#include "math/top_k.h"
 #include "rec/black_box.h"
 #include "rec/evaluator.h"
 #include "rec/matrix_factorization.h"
@@ -82,6 +85,111 @@ TEST_F(RecFixture, EarlyStoppingTrainerRuns) {
   EXPECT_LE(report.epochs_run, 30U);
   EXPECT_GT(report.best_valid_hr, 0.0);
   EXPECT_GT(report.test_hr, 0.2);
+}
+
+TEST_F(RecFixture, EvaluateHeldOutEqualsDrawThenScore) {
+  MatrixFactorization mf;
+  util::Rng rng(testhelpers::TestSeed(3));
+  mf.Fit(split_.train, 5, rng);
+
+  // 20 negatives out of Tiny's 60 items, so the draws depend on the seed.
+  constexpr std::size_t kNegatives = 20;
+  const std::vector<std::size_t> ks = {5, 10, 20};
+  util::Rng direct_rng(testhelpers::TestSeed(21));
+  util::Rng split_rng(testhelpers::TestSeed(21));
+  util::Rng reference_rng(testhelpers::TestSeed(21));
+  const MetricsByK direct = EvaluateHeldOut(
+      mf, world_.dataset.target, split_.test, ks, kNegatives, direct_rng);
+  const auto negatives = SampleHeldOutNegatives(
+      world_.dataset.target, split_.test, kNegatives, split_rng);
+  const MetricsByK scored = ScoreHeldOut(mf, split_.test, negatives, ks);
+
+  // Reference: draw and rank pair by pair, interleaved.
+  MetricsByK reference;
+  for (const std::size_t k : ks) reference[k] = TopKMetrics();
+  ASSERT_EQ(negatives.size(), split_.test.size());
+  for (std::size_t i = 0; i < split_.test.size(); ++i) {
+    const data::HeldOut& pair = split_.test[i];
+    const auto drawn = SampleNegatives(world_.dataset.target, pair.user,
+                                       pair.item, kNegatives, reference_rng);
+    EXPECT_EQ(drawn, negatives[i]) << "pair " << i;
+    std::vector<data::ItemId> candidates = {pair.item};
+    candidates.insert(candidates.end(), drawn.begin(), drawn.end());
+    const std::size_t rank =
+        math::RankOf(mf.ScoreCandidates(pair.user, candidates), 0);
+    for (const std::size_t k : ks) {
+      reference[k].Accumulate(math::HitRatioAtK(rank, k),
+                              math::NdcgAtK(rank, k));
+    }
+  }
+  for (auto& [k, metrics] : reference) metrics.Finalize();
+
+  const auto expect_equal_to_direct = [&](const MetricsByK& other) {
+    for (const std::size_t k : ks) {
+      EXPECT_EQ(direct.at(k).hr, other.at(k).hr) << "k=" << k;
+      EXPECT_EQ(direct.at(k).ndcg, other.at(k).ndcg) << "k=" << k;
+      EXPECT_EQ(direct.at(k).count, other.at(k).count) << "k=" << k;
+    }
+  };
+  expect_equal_to_direct(scored);
+  expect_equal_to_direct(reference);
+  // All three consumed the same draws.
+  const std::uint64_t next = direct_rng.NextUint64();
+  EXPECT_EQ(split_rng.NextUint64(), next);
+  EXPECT_EQ(reference_rng.NextUint64(), next);
+}
+
+TEST_F(RecFixture, EarlyStoppingMatchesPerEpochRedrawOfNegatives) {
+  TrainOptions options;
+  options.max_epochs = 12;
+  options.patience = 3;
+  // Fewer negatives than Tiny's unseen items, so the seed picks them.
+  options.num_negatives = 20;
+  options.eval_k = 5;
+  PinSageLite model;
+  util::Rng rng(testhelpers::TestSeed(3));
+  const TrainReport report = TrainWithEarlyStopping(
+      model, split_, world_.dataset.target, options, rng);
+
+  // Reference: the early-stopping loop redrawing validation negatives
+  // from a fresh `eval_seed` stream on every epoch.
+  PinSageLite reference;
+  util::Rng reference_rng(testhelpers::TestSeed(3));
+  TrainReport expected;
+  reference.InitTraining(split_.train, reference_rng);
+  std::size_t epochs_since_best = 0;
+  for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
+    reference.TrainEpoch(split_.train, reference_rng);
+    expected.epochs_run = epoch + 1;
+    reference.BeginServing(split_.train);
+    util::Rng eval_rng(options.eval_seed);
+    const double hr =
+        EvaluateHeldOut(reference, world_.dataset.target, split_.valid,
+                        {options.eval_k}, options.num_negatives, eval_rng)
+            .at(options.eval_k)
+            .hr;
+    if (hr > expected.best_valid_hr) {
+      expected.best_valid_hr = hr;
+      epochs_since_best = 0;
+    } else {
+      ++epochs_since_best;
+    }
+    if (epochs_since_best >= options.patience) break;
+  }
+  reference.BeginServing(split_.train);
+  util::Rng test_rng(options.eval_seed + 1);
+  const TopKMetrics test =
+      EvaluateHeldOut(reference, world_.dataset.target, split_.test,
+                      {options.eval_k}, options.num_negatives, test_rng)
+          .at(options.eval_k);
+  expected.test_hr = test.hr;
+  expected.test_ndcg = test.ndcg;
+
+  EXPECT_EQ(report.epochs_run, expected.epochs_run);
+  EXPECT_EQ(report.best_valid_hr, expected.best_valid_hr);
+  EXPECT_EQ(report.test_hr, expected.test_hr);
+  EXPECT_EQ(report.test_ndcg, expected.test_ndcg);
+  EXPECT_EQ(rng.NextUint64(), reference_rng.NextUint64());
 }
 
 TEST_F(RecFixture, MfFoldInHandlesNewUsers) {

@@ -1,5 +1,6 @@
 #include "cli.h"
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "serve/attack_server.h"
 #include "serve/job_queue.h"
 #include "util/flags.h"
+#include "util/logging.h"
 #include "util/string_utils.h"
 
 namespace copyattack::tools {
@@ -389,6 +391,13 @@ int RunCli(int argc, const char* const* argv, std::ostream& out) {
     obs::SetEnabled(false);
     if (obs::ExportAll(telemetry_dir)) {
       out << "telemetry written to " << telemetry_dir << '\n';
+      const std::uint64_t lost = obs::TraceRecorder::Global().overwritten();
+      if (lost > 0) {
+        CA_LOG(Warning) << lost << " trace events were lost to ring "
+                        << "wrap-around; trace.json is incomplete ("
+                        << obs::kTraceOverwrittenCounter
+                        << " in summary.json)";
+      }
     } else {
       out << "error: could not write telemetry to " << telemetry_dir << '\n';
       return status != 0 ? status : 1;
