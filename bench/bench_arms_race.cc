@@ -91,12 +91,7 @@ StrategyOutcome RunStrategy(const bench::BenchWorld& bw,
                             const RaceConfig& race,
                             const std::string& method,
                             const std::vector<data::ItemId>& targets) {
-  const serve::StrategySpec spec =
-      serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts, method);
-  if (!spec.factory) {
-    std::fprintf(stderr, "bench_arms_race: %s\n", spec.error.c_str());
-    std::exit(1);
-  }
+  const serve::StrategySpec spec = bench::ResolveMethod(bw, method);
 
   StrategyOutcome outcome;
   for (std::size_t t = 0; t < targets.size(); ++t) {

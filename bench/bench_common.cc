@@ -52,49 +52,23 @@ const std::vector<std::string>& Table2Methods() {
   return *methods;
 }
 
-std::unique_ptr<core::AttackStrategy> MakeStrategy(const std::string& name,
-                                                   const BenchWorld& bw,
-                                                   std::uint64_t seed) {
-  const auto* dataset = &bw.world.dataset;
-  const auto* tree = &bw.artifacts.tree;
-  const auto* user_emb = &bw.artifacts.mf.user_embeddings();
-  const auto* item_emb = &bw.artifacts.mf.item_embeddings();
-
-  if (name == "RandomAttack") {
-    return std::make_unique<core::RandomAttack>(*dataset);
-  }
-  if (name == "TargetAttack40") {
-    return std::make_unique<core::TargetAttack>(*dataset, 0.4);
-  }
-  if (name == "TargetAttack70") {
-    return std::make_unique<core::TargetAttack>(*dataset, 0.7);
-  }
-  if (name == "TargetAttack100") {
-    return std::make_unique<core::TargetAttack>(*dataset, 1.0);
-  }
-  if (name == "PolicyNetwork") {
-    return std::make_unique<core::FlatPolicyNetwork>(
-        dataset, user_emb, item_emb, core::FlatPolicyNetwork::Config{},
-        seed);
-  }
-  core::CopyAttackConfig config;
-  if (name == "CopyAttack-Masking") {
-    config.use_masking = false;
-  } else if (name == "CopyAttack-Length") {
-    config.use_crafting = false;
-  } else {
-    CA_CHECK_EQ(name, std::string("CopyAttack")) << "unknown method";
-  }
-  return std::make_unique<core::CopyAttack>(dataset, tree, user_emb,
-                                            item_emb, config, seed);
+serve::StrategySpec ResolveMethod(const BenchWorld& bw,
+                                  const std::string& method) {
+  serve::StrategySpec spec =
+      serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts, method);
+  CA_CHECK(spec.factory != nullptr) << spec.error;
+  return spec;
 }
 
-std::size_t EpisodesForMethod(const std::string& name,
-                              std::size_t learning_episodes) {
-  if (name == "RandomAttack" || util::StartsWith(name, "TargetAttack")) {
-    return 1;  // non-learning baselines
-  }
-  return learning_episodes;
+core::CampaignResult RunAttack(const BenchWorld& bw,
+                               const core::StrategyFactory& strategy,
+                               const std::vector<data::ItemId>& targets,
+                               const core::CampaignConfig& config) {
+  return core::ParallelCampaignRunner(bw.world.dataset, bw.split.train,
+                                      bw.ModelFactory(), strategy,
+                                      core::ParallelRunnerOptions{})
+      .Run(targets, config)
+      .aggregate;
 }
 
 core::CampaignConfig DefaultCampaign(std::uint64_t seed) {
@@ -109,7 +83,6 @@ core::CampaignConfig DefaultCampaign(std::uint64_t seed) {
   config.eval_users = 250;
   config.eval_negatives = 100;
   config.seed = seed;
-  config.num_threads = 1;
   return config;
 }
 
@@ -165,15 +138,13 @@ void RunBudgetSweep(const data::SyntheticConfig& config,
   std::printf("\n");
 
   for (const std::string& method : methods) {
+    const serve::StrategySpec spec = ResolveMethod(bw, method);
     std::vector<double> hr_series, ndcg_series;
     for (const std::size_t budget : budgets) {
       core::CampaignConfig campaign = DefaultCampaign(4242);
       campaign.env.budget = budget;
-      campaign.episodes = EpisodesForMethod(method, campaign.episodes);
-      const auto result = core::RunCampaign(
-          bw.world.dataset, bw.split.train, bw.ModelFactory(),
-          [&](std::uint64_t seed) { return MakeStrategy(method, bw, seed); },
-          targets, campaign);
+      if (!spec.learns) campaign.episodes = 1;
+      const auto result = RunAttack(bw, spec.factory, targets, campaign);
       hr_series.push_back(result.metrics.at(20).hr);
       ndcg_series.push_back(result.metrics.at(20).ndcg);
       csv.WriteRow({config.name, method, std::to_string(budget),

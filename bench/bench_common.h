@@ -8,11 +8,13 @@
 #include "core/baselines.h"
 #include "core/copy_attack.h"
 #include "core/flat_policy.h"
+#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "rec/pinsage_lite.h"
 #include "rec/trainer.h"
+#include "serve/attack_server.h"
 
 namespace copyattack::bench {
 
@@ -52,14 +54,17 @@ BenchWorld BuildBenchWorld(const data::SyntheticConfig& config,
 /// which the runner handles separately).
 const std::vector<std::string>& Table2Methods();
 
-/// Instantiates an attack strategy by its Table-2 name.
-std::unique_ptr<core::AttackStrategy> MakeStrategy(const std::string& name,
-                                                   const BenchWorld& bw,
-                                                   std::uint64_t seed);
+/// Resolves a method name through the shared strategy registry
+/// (`serve::MakeStrategyFactory`); aborts on an unknown name.
+serve::StrategySpec ResolveMethod(const BenchWorld& bw,
+                                  const std::string& method);
 
-/// Episodes a method trains for (1 for non-learning baselines).
-std::size_t EpisodesForMethod(const std::string& name,
-                              std::size_t learning_episodes);
+/// Runs one campaign against `bw`'s target model through the sharded
+/// runner at its default options (one job) and returns its Table-2 row.
+core::CampaignResult RunAttack(const BenchWorld& bw,
+                               const core::StrategyFactory& strategy,
+                               const std::vector<data::ItemId>& targets,
+                               const core::CampaignConfig& config);
 
 /// Default campaign configuration used across the experiment binaries
 /// (paper §5.1.3: budget 30, query every 3 injections, 50 pretend users).

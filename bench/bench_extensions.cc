@@ -45,8 +45,8 @@ void RunProxyExperiment(const bench::BenchWorld& bw,
   const auto clean = core::EvaluateWithoutAttack(
       bw.world.dataset, bw.split.train, bw.ModelFactory(), orphans,
       campaign);
-  const auto attacked = core::RunCampaign(
-      bw.world.dataset, bw.split.train, bw.ModelFactory(),
+  const auto attacked = bench::RunAttack(
+      bw,
       [&](std::uint64_t seed) {
         core::CopyAttackConfig config;
         config.allow_proxy = true;
@@ -79,12 +79,9 @@ void RunDemotionExperiment(const bench::BenchWorld& bw,
   const auto clean = core::EvaluateWithoutAttack(
       bw.world.dataset, bw.split.train, bw.ModelFactory(), popular,
       campaign);
-  const auto attacked = core::RunCampaign(
-      bw.world.dataset, bw.split.train, bw.ModelFactory(),
-      [&](std::uint64_t seed) {
-        return bench::MakeStrategy("CopyAttack", bw, seed);
-      },
-      popular, campaign);
+  const auto attacked = bench::RunAttack(
+      bw, bench::ResolveMethod(bw, "CopyAttack").factory, popular,
+      campaign);
   std::printf("   HR@20 of demoted items: %s -> %s (lower is a stronger "
               "demotion)\n",
               bench::F4(clean.metrics.at(20).hr).c_str(),

@@ -31,12 +31,9 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
         bw.world.dataset, num_targets, 10, target_rng);
 
     const core::CampaignConfig campaign = bench::DefaultCampaign(4242);
-    const auto result = core::RunCampaign(
-        bw.world.dataset, bw.split.train, bw.ModelFactory(),
-        [&](std::uint64_t seed) {
-          return bench::MakeStrategy("CopyAttack", bw, seed);
-        },
-        targets, campaign);
+    const auto result = bench::RunAttack(
+        bw, bench::ResolveMethod(bw, "CopyAttack").factory, targets,
+        campaign);
 
     std::printf("%-5zu  %-9zu  %s  %s   %.1f\n", depth,
                 bw.artifacts.tree.branching(),

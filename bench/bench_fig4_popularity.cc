@@ -38,12 +38,9 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
     mean_pop /= static_cast<double>(groups[g].size());
 
     const core::CampaignConfig campaign = bench::DefaultCampaign(4242 + g);
-    const auto result = core::RunCampaign(
-        bw.world.dataset, bw.split.train, bw.ModelFactory(),
-        [&](std::uint64_t seed) {
-          return bench::MakeStrategy("CopyAttack", bw, seed);
-        },
-        groups[g], campaign);
+    const auto result = bench::RunAttack(
+        bw, bench::ResolveMethod(bw, "CopyAttack").factory, groups[g],
+        campaign);
 
     std::printf("%-5zu  %-8.1f  %s  %s\n", g + 1, mean_pop,
                 bench::F4(result.metrics.at(20).hr).c_str(),

@@ -34,12 +34,9 @@ int main(int argc, char** argv) {
   for (const std::size_t rounds : {1UL, 2UL, 4UL, 6UL, 10UL, 0UL}) {
     core::CampaignConfig campaign = bench::DefaultCampaign(4242);
     campaign.env.max_query_rounds = rounds;  // 0 = unlimited
-    const auto result = core::RunCampaign(
-        bw.world.dataset, bw.split.train, bw.ModelFactory(),
-        [&](std::uint64_t seed) {
-          return bench::MakeStrategy("CopyAttack", bw, seed);
-        },
-        targets, campaign);
+    const auto result = bench::RunAttack(
+        bw, bench::ResolveMethod(bw, "CopyAttack").factory, targets,
+        campaign);
     if (rounds == 0) {
       std::printf("unlimited                 ");
     } else {

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
 
   for (const auto& variant : variants) {
     const core::CampaignConfig campaign = bench::DefaultCampaign(4242);
-    const auto result = core::RunCampaign(
-        bw.world.dataset, bw.split.train, bw.ModelFactory(),
+    const auto result = bench::RunAttack(
+        bw,
         [&](std::uint64_t seed) {
           core::CopyAttackConfig config;
           config.reward_shaping = variant.shaping;

@@ -54,15 +54,10 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
                                    bw.ModelFactory(), targets, base));
 
   for (const std::string& method : bench::Table2Methods()) {
+    const serve::StrategySpec spec = bench::ResolveMethod(bw, method);
     core::CampaignConfig campaign = base;
-    campaign.episodes = bench::EpisodesForMethod(method, base.episodes);
-    const auto result = core::RunCampaign(
-        bw.world.dataset, bw.split.train, bw.ModelFactory(),
-        [&](std::uint64_t seed) {
-          return bench::MakeStrategy(method, bw, seed);
-        },
-        targets, campaign);
-    emit(result);
+    if (!spec.learns) campaign.episodes = 1;
+    emit(bench::RunAttack(bw, spec.factory, targets, campaign));
   }
 }
 

@@ -87,12 +87,13 @@ int main(int argc, char** argv) {
     const auto clean = core::EvaluateWithoutAttack(
         bw.world.dataset, bw.split.train, variant.factory, targets,
         campaign);
-    const auto attacked = core::RunCampaign(
-        bw.world.dataset, bw.split.train, variant.factory,
-        [&](std::uint64_t) {
-          return std::make_unique<core::TargetAttack>(bw.world.dataset, 0.4);
-        },
-        targets, campaign);
+    const auto attacked =
+        core::ParallelCampaignRunner(
+            bw.world.dataset, bw.split.train, variant.factory,
+            bench::ResolveMethod(bw, "TargetAttack40").factory,
+            core::ParallelRunnerOptions{})
+            .Run(targets, campaign)
+            .aggregate;
 
     std::printf("%-20s %s       %s          %+0.4f\n", variant.name,
                 bench::F4(clean.metrics.at(20).hr).c_str(),

@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "core/copy_attack.h"
+#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -60,16 +61,19 @@ int main() {
     campaign.seed = 101;
 
     // Aggregate over the sampled items to de-noise the estimate.
-    const auto result = core::RunCampaign(
-        world.dataset, split.train, model_factory,
-        [&](std::uint64_t seed) {
-          return std::make_unique<core::CopyAttack>(
-              &world.dataset, &artifacts.tree,
-              &artifacts.mf.user_embeddings(),
-              &artifacts.mf.item_embeddings(), core::CopyAttackConfig{},
-              seed);
-        },
-        targets, campaign);
+    const auto result =
+        core::ParallelCampaignRunner(
+            world.dataset, split.train, model_factory,
+            [&](std::uint64_t seed) {
+              return std::make_unique<core::CopyAttack>(
+                  &world.dataset, &artifacts.tree,
+                  &artifacts.mf.user_embeddings(),
+                  &artifacts.mf.item_embeddings(), core::CopyAttackConfig{},
+                  seed);
+            },
+            core::ParallelRunnerOptions{})
+            .Run(targets, campaign)
+            .aggregate;
 
     std::printf("%-6zu  %.4f  %-8.1f  %-12.1f  %.1f\n", budget,
                 result.metrics.at(20).hr, result.avg_profiles_injected,

@@ -17,6 +17,7 @@
 
 #include "core/baselines.h"
 #include "core/copy_attack.h"
+#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -103,8 +104,11 @@ int main() {
     core::CampaignConfig per_method = campaign;
     per_method.episodes = spec.episodes;
     const auto result =
-        core::RunCampaign(world.dataset, split.train, model_factory,
-                          spec.factory, slate, per_method);
+        core::ParallelCampaignRunner(world.dataset, split.train,
+                                     model_factory, spec.factory,
+                                     core::ParallelRunnerOptions{})
+            .Run(slate, per_method)
+            .aggregate;
     std::printf("%s\n", core::FormatCampaignRow(result).c_str());
     csv.WriteRow({result.method,
                   std::to_string(result.metrics.at(20).hr),

@@ -14,8 +14,8 @@
 
 namespace copyattack::core {
 
-/// Per-target-item outcome of a campaign, exactly what `RunCampaign`
-/// aggregates into a Table-2 row. Serializable so completed targets
+/// Per-target-item outcome of a campaign, exactly what the campaign
+/// runner aggregates into a Table-2 row. Serializable so completed targets
 /// survive a crash.
 struct TargetOutcomeState CA_CHECKPOINTED(WriteOutcome, ReadOutcome) {
   rec::MetricsByK metrics;
@@ -58,11 +58,11 @@ struct InProgressTarget CA_CHECKPOINTED(SerializePayload,
   std::string strategy_blob;
 };
 
-/// Everything `RunCampaign` needs to continue after a crash.
+/// Everything one shard of a campaign needs to continue after a crash.
 struct CampaignCheckpoint CA_CHECKPOINTED(SerializePayload,
                                           DeserializePayload) {
   CampaignFingerprint fingerprint;
-  /// Outcomes of targets `[0, completed.size())`, in target order.
+  /// Outcomes of the shard's first `completed.size()` targets, in order.
   std::vector<TargetOutcomeState> completed;
   InProgressTarget in_progress;
 };
@@ -102,6 +102,22 @@ enum class CheckpointSource {
   /// state on disk and is preferred over `.prev`.
   kTempOrphan,
 };
+
+/// Lower-case name of `source` for logs and CLI output: "none",
+/// "primary", "fallback" or "temp-orphan".
+constexpr const char* CheckpointSourceName(CheckpointSource source) {
+  switch (source) {
+    case CheckpointSource::kNone:
+      return "none";
+    case CheckpointSource::kPrimary:
+      return "primary";
+    case CheckpointSource::kFallback:
+      return "fallback";
+    case CheckpointSource::kTempOrphan:
+      return "temp-orphan";
+  }
+  return "unknown";
+}
 
 /// Loads the freshest valid checkpoint from `dir`: tries the primary
 /// file, then a complete `.tmp` orphan, then the previous good file —

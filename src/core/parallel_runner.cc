@@ -50,11 +50,9 @@ ParallelCampaignResult ParallelCampaignRunner::Run(
                                                     : options_.shards);
 
   // Per-item config: the batching decorator is the only knob the runner
-  // turns; the seeds stay exactly RunCampaign's (see PlayTargetItem).
+  // turns; the per-item seeds come from PlayTargetItem.
   CampaignConfig item_config = config;
   item_config.env.batched_queries = options_.batched_queries;
-  item_config.num_threads = 1;
-  item_config.checkpoint = CampaignCheckpointOptions{};
 
   // Probe a throwaway strategy for the method name: fingerprints need it
   // before any shard runs (construction is cheap and stateless).

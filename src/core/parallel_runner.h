@@ -17,6 +17,27 @@
 
 namespace copyattack::core {
 
+/// Crash-safety options of a sharded campaign. With a non-empty `dir`,
+/// shard s of S persists a versioned, CRC-checksummed checkpoint
+/// (core/checkpoint.h) under `<dir>/shard_<s>_of_<S>` after every
+/// completed target and every `every_episodes` episodes in between; with
+/// `resume` each shard first loads its freshest valid checkpoint and
+/// continues bit-exactly from there. Checkpointing requires
+/// `env.refit_on_query == false` (a refit target model's weights are not
+/// captured) and never changes outcomes.
+struct CampaignCheckpointOptions {
+  /// Checkpoint root directory; empty disables checkpointing.
+  std::string dir;
+  /// Resume each shard from its checkpoint if a valid one exists.
+  bool resume = false;
+  /// Episodes between mid-target checkpoints (>= 1).
+  std::size_t every_episodes = 1;
+  /// Test hook simulating a crash: abort the campaign (returning a
+  /// partially filled result) after this many episodes have been played
+  /// across all shards. 0 = never.
+  std::size_t abort_after_episodes = 0;
+};
+
 /// Options of the sharded campaign runner.
 struct ParallelRunnerOptions {
   /// Worker threads (>= 1). `--jobs` on the CLI.
@@ -29,11 +50,9 @@ struct ParallelRunnerOptions {
   /// decorator (one blocked scoring call per round instead of one oracle
   /// round-trip per pretend user). Payload-equivalent either way.
   bool batched_queries = true;
-  /// Per-shard crash safety: with a non-empty `dir`, shard s of S
-  /// persists its progress under `<dir>/shard_<s>_of_<S>` using the
-  /// standard campaign checkpoint format, fingerprinted with the shard's
-  /// stream seed so a checkpoint never resumes into a different shard
-  /// layout. `abort_after_episodes` counts episodes across ALL shards.
+  /// Per-shard crash safety (see `CampaignCheckpointOptions`). Each
+  /// shard's checkpoint is fingerprinted with its stream seed, so a
+  /// checkpoint never resumes into a different shard layout.
   CampaignCheckpointOptions checkpoint;
   /// Cooperative cancellation: polled at every shard boundary and every
   /// episode boundary (the natural yield points — checkpoints are
@@ -101,8 +120,8 @@ struct ParallelCampaignResult {
 /// injector and circuit breaker) and hence its outcome are the same no
 /// matter which shard or thread runs it. The aggregate is merged in
 /// global target order. Together that makes the result bit-identical to
-/// the sequential `RunCampaign` under `jobs = 1` and invariant to the
-/// shard count — the property the shard-determinism tests pin down.
+/// playing the items one after another and invariant to the job and
+/// shard counts — the property the shard-determinism tests pin down.
 ///
 /// Each shard additionally owns a golden-ratio `util::Rng` stream seed
 /// (`util::DeriveStreamSeed(campaign_seed, shard ⊕ shard-count)`) that
@@ -119,8 +138,8 @@ class ParallelCampaignRunner {
                          StrategyFactory strategy_factory,
                          const ParallelRunnerOptions& options);
 
-  /// Runs the campaign over `targets`. `config.num_threads` and
-  /// `config.checkpoint` are ignored — `options` govern both.
+  /// Runs the campaign over `targets`; `options` govern threading,
+  /// sharding and checkpointing.
   ParallelCampaignResult Run(const std::vector<data::ItemId>& targets,
                              const CampaignConfig& config) const;
 

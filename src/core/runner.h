@@ -48,29 +48,6 @@ using ModelFactory = std::function<std::unique_ptr<rec::Recommender>()>;
 using StrategyFactory =
     std::function<std::unique_ptr<AttackStrategy>(std::uint64_t seed)>;
 
-/// Crash-safety options of a campaign (ISSUE 5). With a non-empty `dir`,
-/// `RunCampaign` runs target items sequentially and persists a versioned,
-/// CRC-checksummed checkpoint (core/checkpoint.h) after every completed
-/// target and every `every_episodes` episodes in between; with `resume`
-/// it first loads the freshest valid checkpoint and continues bit-exactly
-/// from there. Requires `env.refit_on_query == false` (a refit target
-/// model's weights are not captured) and implies single-threaded
-/// execution over targets (the sequential path is bit-identical to a
-/// `num_threads = 1` run without checkpointing).
-struct CampaignCheckpointOptions {
-  /// Checkpoint directory; empty disables checkpointing entirely (the
-  /// untouched parallel fast path runs instead).
-  std::string dir;
-  /// Resume from `dir` if a valid checkpoint exists.
-  bool resume = false;
-  /// Episodes between mid-target checkpoints (≥ 1).
-  std::size_t every_episodes = 1;
-  /// Test hook simulating a crash: abort the campaign (returning a
-  /// partially filled result) after this many episodes have been played
-  /// across the whole run. 0 = never.
-  std::size_t abort_after_episodes = 0;
-};
-
 /// Parameters of one attack campaign (one method, many target items).
 struct CampaignConfig {
   EnvConfig env;
@@ -82,10 +59,6 @@ struct CampaignConfig {
   std::size_t eval_users = 300;
   std::size_t eval_negatives = 100;
   std::uint64_t seed = 77;
-  /// Worker threads across target items (1 = sequential).
-  std::size_t num_threads = 1;
-  /// Crash-safe checkpoint/resume (off unless `checkpoint.dir` is set).
-  CampaignCheckpointOptions checkpoint;
 };
 
 /// Aggregated outcome of a campaign, i.e. one row of Table 2.
@@ -99,7 +72,7 @@ struct CampaignResult {
   double wall_seconds = 0.0;
   std::size_t num_target_items = 0;
 
-  // Checkpointed-run bookkeeping (all zero/kNone on the parallel path).
+  // Checkpointed-run bookkeeping (all zero/kNone without checkpointing).
   std::size_t checkpoint_saves = 0;   ///< checkpoint files written
   CheckpointSource resumed_from = CheckpointSource::kNone;
   /// True when the `abort_after_episodes` test hook cut the run short;
@@ -108,22 +81,15 @@ struct CampaignResult {
 };
 
 /// The "Without Attack" reference row: promotion metrics of the target
-/// items under the clean model.
+/// items under the clean model, evaluated over `jobs` worker threads
+/// (the result does not depend on `jobs`). Attacked rows come from
+/// `ParallelCampaignRunner` (core/parallel_runner.h).
 CampaignResult EvaluateWithoutAttack(const data::CrossDomainDataset& dataset,
                                      const data::Dataset& target_train,
                                      const ModelFactory& model_factory,
                                      const std::vector<data::ItemId>& targets,
-                                     const CampaignConfig& config);
-
-/// Runs one method over all `targets`: per item, `episodes` episodes of
-/// attack, then final promotion metrics over real users on the last
-/// episode's polluted state. Aggregates into a Table-2 row.
-CampaignResult RunCampaign(const data::CrossDomainDataset& dataset,
-                           const data::Dataset& target_train,
-                           const ModelFactory& model_factory,
-                           const StrategyFactory& strategy_factory,
-                           const std::vector<data::ItemId>& targets,
-                           const CampaignConfig& config);
+                                     const CampaignConfig& config,
+                                     std::size_t jobs = 1);
 
 /// Formats a campaign result as a Table-2 style row.
 std::string FormatCampaignRow(const CampaignResult& result);

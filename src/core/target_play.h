@@ -41,7 +41,7 @@ struct TargetPlayResult {
 
 /// Plays every episode of one target item — fresh model clone, fresh
 /// strategy, fresh environment, final promotion metrics — exactly the way
-/// every campaign runner does it. `global_index` is the item's position
+/// the campaign runner does it. `global_index` is the item's position
 /// in the FULL campaign target list; it (never any shard-local position)
 /// derives the per-item seed `config.seed + 1000003 * global_index`,
 /// which is what makes outcomes independent of how items are distributed

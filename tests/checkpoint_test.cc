@@ -17,6 +17,7 @@
 
 #include "core/checkpoint.h"
 #include "core/copy_attack.h"
+#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "data/io.h"
 #include "fault/crash_point.h"
@@ -427,7 +428,8 @@ TEST(CheckpointCrashTest, TempOrphanPreferredOverFallback) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill-and-resume equivalence
+// Kill-and-resume equivalence through the campaign runner (one job, one
+// shard: checkpoints land under <dir>/shard_0_of_1)
 
 CampaignConfig ResumableCampaign() {
   CampaignConfig config;
@@ -438,7 +440,6 @@ CampaignConfig ResumableCampaign() {
   config.episodes = 3;
   config.eval_users = 60;
   config.eval_negatives = 50;
-  config.num_threads = 1;
   return config;
 }
 
@@ -473,77 +474,66 @@ std::vector<data::ItemId> ResumableTargets() {
   return data::SampleColdTargetItems(tw.world.dataset, 2, 10, rng);
 }
 
-TEST(CheckpointResumeTest, CheckpointedPathMatchesPlainSequentialRun) {
+CampaignResult RunResumable(const CampaignConfig& config,
+                            const CampaignCheckpointOptions& checkpoint =
+                                CampaignCheckpointOptions{}) {
   const auto& tw = SharedTinyWorld();
-  const auto targets = ResumableTargets();
-  const auto factory = LearningFactory();
-  const auto plain =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, ResumableCampaign());
-  CampaignConfig checkpointed = ResumableCampaign();
-  checkpointed.checkpoint.dir = FreshDir("ckpt_equiv");
-  const auto with_ckpt =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, checkpointed);
+  ParallelRunnerOptions options;
+  options.checkpoint = checkpoint;
+  return ParallelCampaignRunner(tw.world.dataset, tw.split.train,
+                                tw.ModelFactory(), LearningFactory(),
+                                options)
+      .Run(ResumableTargets(), config)
+      .aggregate;
+}
+
+TEST(CheckpointResumeTest, CheckpointedPathMatchesPlainSequentialRun) {
+  const auto plain = RunResumable(ResumableCampaign());
+  CampaignCheckpointOptions checkpoint;
+  checkpoint.dir = FreshDir("ckpt_equiv");
+  const auto with_ckpt = RunResumable(ResumableCampaign(), checkpoint);
   ExpectSameResult(plain, with_ckpt);
   EXPECT_GT(with_ckpt.checkpoint_saves, 0U);
   EXPECT_FALSE(with_ckpt.aborted);
 }
 
 TEST(CheckpointResumeTest, KillAndResumeReproducesUninterruptedRun) {
-  const auto& tw = SharedTinyWorld();
-  const auto targets = ResumableTargets();
-  const auto factory = LearningFactory();
-  const auto uninterrupted =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, ResumableCampaign());
+  const auto uninterrupted = RunResumable(ResumableCampaign());
 
   // "Crash" mid-way through the second target (4 of 6 total episodes).
-  CampaignConfig crashing = ResumableCampaign();
-  crashing.checkpoint.dir = FreshDir("ckpt_kill");
-  crashing.checkpoint.abort_after_episodes = 4;
-  const auto aborted =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, crashing);
+  CampaignCheckpointOptions crashing;
+  crashing.dir = FreshDir("ckpt_kill");
+  crashing.abort_after_episodes = 4;
+  const auto aborted = RunResumable(ResumableCampaign(), crashing);
   EXPECT_TRUE(aborted.aborted);
-  EXPECT_LT(aborted.num_target_items, targets.size());
+  EXPECT_LT(aborted.num_target_items, ResumableTargets().size());
 
   // Resume: must land on exactly the uninterrupted outcome.
-  CampaignConfig resuming = ResumableCampaign();
-  resuming.checkpoint.dir = crashing.checkpoint.dir;
-  resuming.checkpoint.resume = true;
-  const auto resumed =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, resuming);
+  CampaignCheckpointOptions resuming;
+  resuming.dir = crashing.dir;
+  resuming.resume = true;
+  const auto resumed = RunResumable(ResumableCampaign(), resuming);
   EXPECT_EQ(resumed.resumed_from, CheckpointSource::kPrimary);
   EXPECT_FALSE(resumed.aborted);
   ExpectSameResult(uninterrupted, resumed);
 }
 
 TEST(CheckpointResumeTest, ResumeAfterCorruptionUsesFallbackCheckpoint) {
-  const auto& tw = SharedTinyWorld();
-  const auto targets = ResumableTargets();
-  const auto factory = LearningFactory();
-  const auto uninterrupted =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, ResumableCampaign());
+  const auto uninterrupted = RunResumable(ResumableCampaign());
 
-  CampaignConfig crashing = ResumableCampaign();
-  crashing.checkpoint.dir = FreshDir("ckpt_kill_corrupt");
-  crashing.checkpoint.abort_after_episodes = 4;
-  RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(), factory,
-              targets, crashing);
+  CampaignCheckpointOptions crashing;
+  crashing.dir = FreshDir("ckpt_kill_corrupt");
+  crashing.abort_after_episodes = 4;
+  RunResumable(ResumableCampaign(), crashing);
   // The crash also mangled the freshest checkpoint; recovery must fall
   // back to the previous good one and still converge to the same result
   // (it just replays one more episode).
-  CorruptFile(CheckpointPath(crashing.checkpoint.dir));
+  CorruptFile(CheckpointPath(crashing.dir + "/shard_0_of_1"));
 
-  CampaignConfig resuming = ResumableCampaign();
-  resuming.checkpoint.dir = crashing.checkpoint.dir;
-  resuming.checkpoint.resume = true;
-  const auto resumed =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, resuming);
+  CampaignCheckpointOptions resuming;
+  resuming.dir = crashing.dir;
+  resuming.resume = true;
+  const auto resumed = RunResumable(ResumableCampaign(), resuming);
   EXPECT_EQ(resumed.resumed_from, CheckpointSource::kFallback);
   ExpectSameResult(uninterrupted, resumed);
 }
@@ -552,29 +542,30 @@ TEST(CheckpointResumeTest, ResumeWithFaultsEnabledIsStillExact) {
   // Faults, resilience, and checkpointing composed: the per-episode fault
   // and jitter streams are derived from episodes_begun, which the resume
   // state restores, so the interrupted run replays identically.
-  const auto& tw = SharedTinyWorld();
-  const auto targets = ResumableTargets();
-  const auto factory = LearningFactory();
   CampaignConfig config = ResumableCampaign();
   config.env.fault = fault::FaultScheduleConfig::Light(27);
   config.env.resilience.enabled = true;
-  const auto uninterrupted =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, config);
+  const auto uninterrupted = RunResumable(config);
 
-  CampaignConfig crashing = config;
-  crashing.checkpoint.dir = FreshDir("ckpt_kill_faulty");
-  crashing.checkpoint.abort_after_episodes = 2;
-  RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(), factory,
-              targets, crashing);
+  CampaignCheckpointOptions crashing;
+  crashing.dir = FreshDir("ckpt_kill_faulty");
+  crashing.abort_after_episodes = 2;
+  RunResumable(config, crashing);
 
-  CampaignConfig resuming = config;
-  resuming.checkpoint.dir = crashing.checkpoint.dir;
-  resuming.checkpoint.resume = true;
-  const auto resumed =
-      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                  factory, targets, resuming);
+  CampaignCheckpointOptions resuming;
+  resuming.dir = crashing.dir;
+  resuming.resume = true;
+  const auto resumed = RunResumable(config, resuming);
   ExpectSameResult(uninterrupted, resumed);
+}
+
+TEST(CheckpointTest, SourceNamesCoverEveryEnumerator) {
+  EXPECT_STREQ(CheckpointSourceName(CheckpointSource::kNone), "none");
+  EXPECT_STREQ(CheckpointSourceName(CheckpointSource::kPrimary), "primary");
+  EXPECT_STREQ(CheckpointSourceName(CheckpointSource::kFallback),
+               "fallback");
+  EXPECT_STREQ(CheckpointSourceName(CheckpointSource::kTempOrphan),
+               "temp-orphan");
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -126,6 +127,44 @@ TEST(CliTest, AttackWithJobsRoutesThroughShardedRunner) {
   EXPECT_NE(output.find("TargetAttack40"), std::string::npos);
   EXPECT_NE(output.find("throughput:"), std::string::npos);
   EXPECT_NE(output.find("2 jobs"), std::string::npos);
+  RemoveWorld(prefix);
+}
+
+/// The attacked method's table row with the trailing Wall(s) column cut.
+std::string RowWithoutWall(const std::string& output,
+                           const std::string& method) {
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(method + " ", 0) == 0) {
+      return line.substr(0, line.find_last_of(' '));
+    }
+  }
+  return "";
+}
+
+TEST(CliTest, AttackCheckpointResumeReproducesRow) {
+  const std::string prefix = TempPrefix("cli_resume_world");
+  const std::string ckpt = TempPrefix("cli_resume_ckpt");
+  std::filesystem::remove_all(ckpt);
+  std::string output;
+  ASSERT_EQ(RunTool({"generate", "--config=tiny", "--out", prefix}, &output), 0);
+  const std::vector<std::string> attack = {
+      "attack",       "--data",     prefix,         "--method=CopyAttack",
+      "--targets=2",  "--budget=6", "--episodes=2", "--checkpoint_dir=" + ckpt};
+  ASSERT_EQ(RunTool(attack, &output), 0);
+  const std::string first = RowWithoutWall(output, "CopyAttack");
+  ASSERT_FALSE(first.empty()) << output;
+  EXPECT_EQ(output.find("resumed from"), std::string::npos) << output;
+  EXPECT_TRUE(std::filesystem::exists(ckpt + "/shard_0_of_1/campaign.ckpt"));
+
+  std::vector<std::string> resume = attack;
+  resume.push_back("--resume=1");
+  ASSERT_EQ(RunTool(resume, &output), 0);
+  EXPECT_EQ(RowWithoutWall(output, "CopyAttack"), first);
+  EXPECT_NE(output.find("resumed from primary"), std::string::npos)
+      << output;
+  std::filesystem::remove_all(ckpt);
   RemoveWorld(prefix);
 }
 

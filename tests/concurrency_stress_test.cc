@@ -1,6 +1,7 @@
 // TSan-targeted stress suite for the concurrent episode hot path: shared
-// ThreadPool initialization, nested/re-entrant ParallelFor, RunCampaign's
-// distinct-slot outcome writes, and the Dataset single-writer contract.
+// ThreadPool initialization, nested/re-entrant ParallelFor, the sharded
+// campaign runner's distinct-slot outcome writes, and the Dataset
+// single-writer contract.
 // These tests are labeled `stress` and sized so ThreadSanitizer (which
 // serializes heavily) still finishes well inside the ctest timeout;
 // tools/check_all.sh runs them under the tsan preset.
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -160,64 +162,20 @@ TEST(ObsStressTest, CountersHistogramsAndSpansFromManyThreads) {
   recorder.Clear();
 }
 
-// --- RunCampaign distinct-slot writes --------------------------------------
-
-// Campaign workers write disjoint outcome slots without locks; under TSan
-// this validates the claim, and comparing against the sequential run pins
-// the paper-protocol guarantee that threading never changes the metrics.
-TEST(CampaignStressTest, ParallelCampaignMatchesSequentialBitExact) {
-  const auto& tw = SharedTinyWorld();
-  util::Rng rng(TestSeed(71));
-  const auto targets =
-      data::SampleColdTargetItems(tw.world.dataset, 6, 10, rng);
-  ASSERT_GE(targets.size(), 2U);
-
-  core::CampaignConfig config;
-  config.env.budget = 6;
-  config.env.query_interval = 3;
-  config.env.num_pretend_users = 8;
-  config.env.query_candidates = 40;
-  config.episodes = 2;
-  config.eval_users = 40;
-  config.eval_negatives = 30;
-  auto factory = [&](std::uint64_t) {
-    return std::make_unique<core::TargetAttack>(tw.world.dataset, 0.7);
-  };
-
-  config.num_threads = 1;
-  const auto sequential =
-      core::RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
-                        factory, targets, config);
-  for (int round = 0; round < 3; ++round) {
-    config.num_threads = 8;
-    const auto threaded =
-        core::RunCampaign(tw.world.dataset, tw.split.train,
-                          tw.ModelFactory(), factory, targets, config);
-    ASSERT_EQ(threaded.method, sequential.method);
-    for (const std::size_t k : config.eval_ks) {
-      ASSERT_EQ(threaded.metrics.at(k).hr, sequential.metrics.at(k).hr)
-          << "HR@" << k << " diverged in round " << round;
-      ASSERT_EQ(threaded.metrics.at(k).ndcg, sequential.metrics.at(k).ndcg)
-          << "NDCG@" << k << " diverged in round " << round;
-    }
-    ASSERT_EQ(threaded.avg_items_per_profile,
-              sequential.avg_items_per_profile);
-    ASSERT_EQ(threaded.avg_final_reward, sequential.avg_final_reward);
-  }
-}
-
 // --- Sharded runner under TSan ---------------------------------------------
 
-// The ISSUE-6 soak: the sharded runner's cross-shard state (global outcome
-// slots, the episode counter, the abort flag, aggregated shard stats) must
-// be race-free while shards outnumber worker threads, and the merged result
-// must still equal the single-shard run.
-TEST(CampaignStressTest, ShardedRunnerManyShardsMatchesSingleShard) {
+// Runs the campaign on `seed`'s cold targets three times with `jobs`
+// workers and checks every merged metric against the single-shard run.
+// `shard_per_target` makes shards outnumber workers; otherwise the runner
+// picks one shard per job.
+void ExpectShardedMatchesSingleShard(std::uint64_t seed, std::size_t jobs,
+                                     bool shard_per_target,
+                                     std::size_t min_targets) {
   const auto& tw = SharedTinyWorld();
-  util::Rng rng(TestSeed(79));
+  util::Rng rng(TestSeed(seed));
   const auto targets =
       data::SampleColdTargetItems(tw.world.dataset, 6, 10, rng);
-  ASSERT_GE(targets.size(), 4U);
+  ASSERT_GE(targets.size(), min_targets);
 
   core::CampaignConfig config;
   config.env.budget = 6;
@@ -240,25 +198,48 @@ TEST(CampaignStressTest, ShardedRunnerManyShardsMatchesSingleShard) {
 
   for (int round = 0; round < 3; ++round) {
     core::ParallelRunnerOptions options;
-    options.jobs = 4;
-    options.shards = targets.size();
+    options.jobs = jobs;
+    options.shards = shard_per_target ? targets.size() : 0;
     const core::ParallelCampaignRunner runner(
         tw.world.dataset, tw.split.train, tw.ModelFactory(), factory,
         options);
     const auto sharded = runner.Run(targets, config);
     ASSERT_EQ(sharded.completed, reference.completed) << "round " << round;
+    ASSERT_EQ(sharded.aggregate.method, reference.aggregate.method);
     ASSERT_EQ(sharded.aggregate.avg_final_reward,
               reference.aggregate.avg_final_reward)
+        << "round " << round;
+    ASSERT_EQ(sharded.aggregate.avg_items_per_profile,
+              reference.aggregate.avg_items_per_profile)
         << "round " << round;
     for (const std::size_t k : config.eval_ks) {
       ASSERT_EQ(sharded.aggregate.metrics.at(k).hr,
                 reference.aggregate.metrics.at(k).hr)
           << "HR@" << k << " diverged in round " << round;
+      ASSERT_EQ(sharded.aggregate.metrics.at(k).ndcg,
+                reference.aggregate.metrics.at(k).ndcg)
+          << "NDCG@" << k << " diverged in round " << round;
     }
     std::size_t items = 0;
     for (const auto& shard : sharded.shards) items += shard.num_items;
     ASSERT_EQ(items, targets.size());
   }
+}
+
+// Campaign workers write disjoint outcome slots without locks; under TSan
+// this validates the claim, and comparing eight parallel workers (one shard
+// each) against the sequential run pins the paper-protocol guarantee that
+// threading never changes the metrics.
+TEST(CampaignStressTest, ParallelCampaignMatchesSequentialBitExact) {
+  ExpectShardedMatchesSingleShard(71, 8, /*shard_per_target=*/false, 2);
+}
+
+// The sharded-runner soak: its cross-shard state (global outcome slots,
+// the episode counter, the abort flag, aggregated shard stats) must be
+// race-free while shards outnumber worker threads, and the merged result
+// must still equal the single-shard run.
+TEST(CampaignStressTest, ShardedRunnerManyShardsMatchesSingleShard) {
+  ExpectShardedMatchesSingleShard(79, 4, /*shard_per_target=*/true, 4);
 }
 
 // --- JobQueue producer/consumer handshake ----------------------------------

@@ -15,6 +15,7 @@
 
 #include "core/baselines.h"
 #include "core/environment.h"
+#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "fault/crash_point.h"
 #include "fault/fault_injector.h"
@@ -450,12 +451,11 @@ TEST(EnvironmentFaultTest, CampaignUnderFaultsIsDeterministic) {
   const core::StrategyFactory factory = [&](std::uint64_t) {
     return std::make_unique<core::TargetAttack>(tw.world.dataset, 0.7);
   };
-  const auto a = core::RunCampaign(tw.world.dataset, tw.split.train,
-                                   tw.ModelFactory(), factory, targets,
-                                   campaign);
-  const auto b = core::RunCampaign(tw.world.dataset, tw.split.train,
-                                   tw.ModelFactory(), factory, targets,
-                                   campaign);
+  const core::ParallelCampaignRunner runner(
+      tw.world.dataset, tw.split.train, tw.ModelFactory(), factory,
+      core::ParallelRunnerOptions{});
+  const auto a = runner.Run(targets, campaign).aggregate;
+  const auto b = runner.Run(targets, campaign).aggregate;
   EXPECT_DOUBLE_EQ(a.metrics.at(20).hr, b.metrics.at(20).hr);
   EXPECT_DOUBLE_EQ(a.metrics.at(5).ndcg, b.metrics.at(5).ndcg);
   EXPECT_DOUBLE_EQ(a.avg_items_per_profile, b.avg_items_per_profile);

@@ -4,6 +4,7 @@
 
 #include "core/baselines.h"
 #include "core/copy_attack.h"
+#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "rec/pinsage_lite.h"
 #include "test_helpers.h"
@@ -23,8 +24,20 @@ CampaignConfig SmallCampaign() {
   config.episodes = 3;
   config.eval_users = 60;
   config.eval_negatives = 50;
-  config.num_threads = 2;
   return config;
+}
+
+/// One campaign through the sharded runner over `jobs` worker threads.
+CampaignResult RunJobs(const StrategyFactory& factory,
+                       const std::vector<data::ItemId>& targets,
+                       const CampaignConfig& config, std::size_t jobs = 2) {
+  const auto& tw = SharedTinyWorld();
+  ParallelRunnerOptions options;
+  options.jobs = jobs;
+  return ParallelCampaignRunner(tw.world.dataset, tw.split.train,
+                                tw.ModelFactory(), factory, options)
+      .Run(targets, config)
+      .aggregate;
 }
 
 std::vector<data::ItemId> SmallTargets() {
@@ -37,7 +50,7 @@ TEST(IntegrationTest, WithoutAttackBaselineRow) {
   const auto& tw = SharedTinyWorld();
   const auto result = EvaluateWithoutAttack(
       tw.world.dataset, tw.split.train, tw.ModelFactory(), SmallTargets(),
-      SmallCampaign());
+      SmallCampaign(), 2);
   EXPECT_EQ(result.method, "WithoutAttack");
   EXPECT_EQ(result.num_target_items, 4U);
   EXPECT_GE(result.metrics.at(20).hr, 0.0);
@@ -48,8 +61,7 @@ TEST(IntegrationTest, WithoutAttackBaselineRow) {
 
 TEST(IntegrationTest, RandomAttackCampaign) {
   const auto& tw = SharedTinyWorld();
-  const auto result = RunCampaign(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(),
+  const auto result = RunJobs(
       [&](std::uint64_t) {
         return std::make_unique<RandomAttack>(tw.world.dataset);
       },
@@ -70,13 +82,13 @@ TEST(IntegrationTest, CopyAttackBeatsWithoutAttack) {
   const auto targets = SmallTargets();
   const auto config = SmallCampaign();
 
-  const auto clean = EvaluateWithoutAttack(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(), targets, config);
+  const auto clean =
+      EvaluateWithoutAttack(tw.world.dataset, tw.split.train,
+                            tw.ModelFactory(), targets, config, 2);
 
   CopyAttackConfig agent_config;
   agent_config.learning_rate = 0.1f;
-  const auto attacked = RunCampaign(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(),
+  const auto attacked = RunJobs(
       [&](std::uint64_t seed) {
         return std::make_unique<CopyAttack>(
             &tw.world.dataset, &tw.artifacts.tree,
@@ -105,14 +117,12 @@ TEST(IntegrationTest, TargetAttackBeatsRandomAttack) {
   CampaignConfig config = SmallCampaign();
   config.env.budget = 18;
 
-  const auto random = RunCampaign(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(),
+  const auto random = RunJobs(
       [&](std::uint64_t) {
         return std::make_unique<RandomAttack>(tw.world.dataset);
       },
       targets, config);
-  const auto targeted = RunCampaign(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(),
+  const auto targeted = RunJobs(
       [&](std::uint64_t) {
         return std::make_unique<TargetAttack>(tw.world.dataset, 0.7);
       },
@@ -125,16 +135,13 @@ TEST(IntegrationTest, TargetAttackBeatsRandomAttack) {
 TEST(IntegrationTest, CampaignDeterministicAcrossRuns) {
   const auto& tw = SharedTinyWorld();
   const auto targets = SmallTargets();
-  CampaignConfig config = SmallCampaign();
-  config.num_threads = 2;
+  const CampaignConfig config = SmallCampaign();
 
   auto factory = [&](std::uint64_t) {
     return std::make_unique<TargetAttack>(tw.world.dataset, 0.4);
   };
-  const auto a = RunCampaign(tw.world.dataset, tw.split.train,
-                             tw.ModelFactory(), factory, targets, config);
-  const auto b = RunCampaign(tw.world.dataset, tw.split.train,
-                             tw.ModelFactory(), factory, targets, config);
+  const auto a = RunJobs(factory, targets, config);
+  const auto b = RunJobs(factory, targets, config);
   EXPECT_DOUBLE_EQ(a.metrics.at(20).hr, b.metrics.at(20).hr);
   EXPECT_DOUBLE_EQ(a.metrics.at(5).ndcg, b.metrics.at(5).ndcg);
   EXPECT_DOUBLE_EQ(a.avg_items_per_profile, b.avg_items_per_profile);
@@ -146,16 +153,8 @@ TEST(IntegrationTest, ThreadedEqualsSequential) {
   auto factory = [&](std::uint64_t) {
     return std::make_unique<TargetAttack>(tw.world.dataset, 0.7);
   };
-  CampaignConfig sequential = SmallCampaign();
-  sequential.num_threads = 1;
-  CampaignConfig threaded = SmallCampaign();
-  threaded.num_threads = 4;
-
-  const auto a = RunCampaign(tw.world.dataset, tw.split.train,
-                             tw.ModelFactory(), factory, targets,
-                             sequential);
-  const auto b = RunCampaign(tw.world.dataset, tw.split.train,
-                             tw.ModelFactory(), factory, targets, threaded);
+  const auto a = RunJobs(factory, targets, SmallCampaign(), 1);
+  const auto b = RunJobs(factory, targets, SmallCampaign(), 4);
   EXPECT_DOUBLE_EQ(a.metrics.at(20).hr, b.metrics.at(20).hr);
 }
 
@@ -163,7 +162,7 @@ TEST(IntegrationTest, FormatRowContainsMethodName) {
   const auto& tw = SharedTinyWorld();
   const auto result = EvaluateWithoutAttack(
       tw.world.dataset, tw.split.train, tw.ModelFactory(), SmallTargets(),
-      SmallCampaign());
+      SmallCampaign(), 2);
   const std::string row = FormatCampaignRow(result);
   EXPECT_NE(row.find("WithoutAttack"), std::string::npos);
   EXPECT_FALSE(CampaignRowHeader().empty());

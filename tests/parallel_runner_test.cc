@@ -1,6 +1,6 @@
 // Shard-determinism tests of the campaign-parallel sharded runner
 // (ISSUE 6): the tentpole's contract is that outcomes are bit-identical
-// to the sequential runner under jobs=1 and invariant to the shard
+// to playing the items sequentially under jobs=1 and invariant to the shard
 // count — including under a PR-5 fault schedule, with batched oracle
 // queries on or off, and across a kill-and-resume mid-campaign.
 
@@ -17,6 +17,7 @@
 #include "core/copy_attack.h"
 #include "core/parallel_runner.h"
 #include "core/runner.h"
+#include "core/target_play.h"
 #include "fault/fault_injector.h"
 #include "serve/attack_server.h"
 #include "test_helpers.h"
@@ -128,10 +129,19 @@ TEST(ParallelRunner, JobsOneBitIdenticalToSequentialRunner) {
   ASSERT_FALSE(targets.empty());
   const CampaignConfig config = SmallCampaign();
 
-  const CampaignResult sequential =
-      RunCampaign(world.world.dataset, world.split.train,
-                  world.ModelFactory(), CopyAttackFactory(world), targets,
-                  config);
+  // Reference: the items played one after another, per-user queries.
+  std::vector<TargetOutcomeState> outcomes;
+  CampaignResult sequential;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    outcomes.push_back(PlayTargetItem(world.world.dataset,
+                                      world.split.train,
+                                      world.ModelFactory(),
+                                      CopyAttackFactory(world), targets[i],
+                                      i, config, TargetPlayHooks{},
+                                      &sequential.method)
+                           .outcome);
+  }
+  MergeOutcomes(outcomes, config.eval_ks, &sequential);
 
   ParallelRunnerOptions options;
   options.jobs = 1;

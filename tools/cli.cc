@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/parallel_runner.h"
 #include "core/runner.h"
@@ -45,11 +46,9 @@ util::FlagParser MakeParser() {
       .Define("budget", "30", "attack: profile budget per episode")
       .Define("episodes", "15", "attack: training episodes (learning methods)")
       .Define("depth", "3", "attack: clustering tree depth")
-      .Define("threads", "1", "attack: worker threads over target items")
       .DefinePositiveInt("jobs", "1",
                          "attack/attack-server: sharded-runner worker "
-                         "threads; attack routes through the parallel "
-                         "runner when this is supplied")
+                         "threads")
       .Define("queue", "-",
               "attack-server: promotion-jobs CSV path ('-' = stdin)")
       .Define("checkpoint_root", "",
@@ -69,7 +68,8 @@ util::FlagParser MakeParser() {
               "anything but off also enables the resilient retry client")
       .Define("fault_seed", "64279", "attack: fault-schedule RNG seed")
       .Define("checkpoint_dir", "",
-              "attack: crash-safe checkpoint directory (empty = off)")
+              "attack: crash-safe checkpoint root; shard s of S writes "
+              "under DIR/shard_<s>_of_<S> (empty = off)")
       .Define("checkpoint_every", "1",
               "attack: episodes between mid-target checkpoints")
       .Define("resume", "0",
@@ -159,14 +159,22 @@ int CmdTrain(const util::FlagParser& parser, std::ostream& out) {
   return 0;
 }
 
-int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
-  data::CrossDomainDataset dataset("", 1);
-  if (!LoadOrComplain(parser, &dataset, out)) return 1;
+/// The trained world both attack commands start from.
+struct AttackWorld {
+  data::TrainValidTestSplit split;
+  rec::PinSageLite model;
+  core::SourceArtifacts artifacts;
+};
 
+/// Splits the target domain (seed 11), trains the target model with
+/// early stopping (seed 13) and prepares the source artifacts at
+/// `--depth`. Prints the trained model's test HR@10.
+AttackWorld TrainAttackWorld(const util::FlagParser& parser,
+                             const data::CrossDomainDataset& dataset,
+                             std::ostream& out) {
   util::Rng split_rng(11);
-  const data::TrainValidTestSplit split =
+  data::TrainValidTestSplit split =
       data::SplitDataset(dataset.target, split_rng);
-
   rec::PinSageLite model;
   rec::TrainOptions train_options;
   util::Rng train_rng(13);
@@ -176,8 +184,16 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
 
   core::SourceArtifactOptions artifact_options;
   artifact_options.tree_depth = parser.GetSizeT("depth");
-  const core::SourceArtifacts artifacts =
+  core::SourceArtifacts artifacts =
       core::PrepareSourceArtifacts(dataset, artifact_options);
+  return AttackWorld{std::move(split), std::move(model),
+                     std::move(artifacts)};
+}
+
+int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
+  data::CrossDomainDataset dataset("", 1);
+  if (!LoadOrComplain(parser, &dataset, out)) return 1;
+  const AttackWorld world = TrainAttackWorld(parser, dataset, out);
 
   util::Rng target_rng(parser.GetSizeT("seed"));
   const auto targets = data::SampleColdTargetItems(
@@ -188,7 +204,6 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   campaign.env.budget = parser.GetSizeT("budget");
   campaign.episodes = parser.GetSizeT("episodes");
   campaign.seed = parser.GetSizeT("seed");
-  campaign.num_threads = parser.GetSizeT("threads");
 
   const std::string faults = parser.GetString("faults");
   if (faults != "off") {
@@ -207,17 +222,19 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
     campaign.env.resilience.seed = fault_seed ^ 0x5EEDULL;
   }
 
-  campaign.checkpoint.dir = parser.GetString("checkpoint_dir");
-  campaign.checkpoint.resume = parser.GetBool("resume");
-  campaign.checkpoint.every_episodes = parser.GetSizeT("checkpoint_every");
+  core::ParallelRunnerOptions options;
+  options.jobs = parser.GetSizeT("jobs");
+  options.checkpoint.dir = parser.GetString("checkpoint_dir");
+  options.checkpoint.resume = parser.GetBool("resume");
+  options.checkpoint.every_episodes = parser.GetSizeT("checkpoint_every");
 
   const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(model);
+    return std::make_unique<rec::PinSageLite>(world.model);
   };
 
   const std::string method = parser.GetString("method");
   const serve::StrategySpec spec =
-      serve::MakeStrategyFactory(dataset, artifacts, method);
+      serve::MakeStrategyFactory(dataset, world.artifacts, method);
   if (!spec.factory) {
     out << "error: " << spec.error << '\n';
     return 2;
@@ -225,36 +242,24 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   if (!spec.learns) campaign.episodes = 1;
 
   out << core::CampaignRowHeader() << '\n';
-  const auto clean = core::EvaluateWithoutAttack(
-      dataset, split.train, model_factory, targets, campaign);
+  const auto clean =
+      core::EvaluateWithoutAttack(dataset, world.split.train, model_factory,
+                                  targets, campaign, options.jobs);
   out << core::FormatCampaignRow(clean) << '\n';
 
-  core::CampaignResult attacked;
-  if (parser.WasSupplied("jobs")) {
-    // Sharded runner: --jobs=1 is bit-identical to the sequential path.
-    core::ParallelRunnerOptions options;
-    options.jobs = parser.GetSizeT("jobs");
-    options.checkpoint = campaign.checkpoint;
-    const core::ParallelCampaignRunner runner(
-        dataset, split.train, model_factory, spec.factory, options);
-    core::ParallelCampaignResult sharded = runner.Run(targets, campaign);
-    attacked = sharded.aggregate;
-    out << core::FormatCampaignRow(attacked) << '\n';
-    out << "throughput: "
-        << util::FormatDouble(sharded.campaigns_per_sec, 2)
-        << " campaigns/s over " << options.jobs << " jobs\n";
-  } else {
-    attacked = core::RunCampaign(dataset, split.train, model_factory,
-                                 spec.factory, targets, campaign);
-    out << core::FormatCampaignRow(attacked) << '\n';
-  }
-  if (!campaign.checkpoint.dir.empty()) {
+  const core::ParallelCampaignResult sharded =
+      core::ParallelCampaignRunner(dataset, world.split.train,
+                                   model_factory, spec.factory, options)
+          .Run(targets, campaign);
+  const core::CampaignResult& attacked = sharded.aggregate;
+  out << core::FormatCampaignRow(attacked) << '\n';
+  out << "throughput: " << util::FormatDouble(sharded.campaigns_per_sec, 2)
+      << " campaigns/s over " << options.jobs << " jobs\n";
+  if (!options.checkpoint.dir.empty()) {
     out << "checkpoints: " << attacked.checkpoint_saves << " saved";
     if (attacked.resumed_from != core::CheckpointSource::kNone) {
       out << ", resumed from "
-          << (attacked.resumed_from == core::CheckpointSource::kPrimary
-                  ? "primary"
-                  : "fallback");
+          << core::CheckpointSourceName(attacked.resumed_from);
     }
     out << '\n';
   }
@@ -290,22 +295,9 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
     return 2;
   }
 
-  util::Rng split_rng(11);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(dataset.target, split_rng);
-  rec::PinSageLite model;
-  rec::TrainOptions train_options;
-  util::Rng train_rng(13);
-  const rec::TrainReport train_report = rec::TrainWithEarlyStopping(
-      model, split, dataset.target, train_options, train_rng);
-  out << "target model test HR@10: " << train_report.test_hr << '\n';
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = parser.GetSizeT("depth");
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(dataset, artifact_options);
+  const AttackWorld world = TrainAttackWorld(parser, dataset, out);
   const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(model);
+    return std::make_unique<rec::PinSageLite>(world.model);
   };
 
   serve::ServerConfig server_config;
@@ -326,8 +318,8 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
   for (serve::PromotionJob& job : jobs) queue.Push(std::move(job));
   queue.Close();
 
-  serve::AttackServer server(dataset, split.train, model_factory,
-                             artifacts, server_config);
+  serve::AttackServer server(dataset, world.split.train, model_factory,
+                             world.artifacts, server_config);
   out << "serving " << jobs.size() << " promotion jobs ("
       << server_config.runner.jobs << " worker threads)\n";
   const std::vector<serve::JobReport> reports = server.Drain(&queue);
