@@ -87,7 +87,7 @@ struct StrategyOutcome {
   std::vector<data::Profile> injected;
 };
 
-StrategyOutcome RunStrategy(const bench::BenchWorld& bw,
+StrategyOutcome RunStrategy(const core::AttackWorld& bw,
                             const RaceConfig& race,
                             const std::string& method,
                             const std::vector<data::ItemId>& targets) {
@@ -102,7 +102,7 @@ StrategyOutcome RunStrategy(const bench::BenchWorld& bw,
     env_config.query_candidates = race.query_candidates;
     env_config.seed = item_seed;
     const auto model = bw.ModelFactory()();
-    core::AttackEnvironment env(bw.world.dataset, bw.split.train,
+    core::AttackEnvironment env(bw.dataset, bw.split.train,
                                 model.get(), env_config);
 
     const auto strategy = spec.factory(item_seed);
@@ -148,28 +148,28 @@ int main(int argc, char** argv) {
   }
 
   std::printf("=== Arms race: attack zoo x detector zoo frontier ===\n\n");
-  const bench::BenchWorld bw = bench::BuildBenchWorld(race.world, 3);
+  const core::AttackWorld bw = bench::BuildBenchWorld(race.world, 3);
 
   // Platform-side detector inputs: item embeddings the defender trained
   // itself, genuine profiles from its clean data.
   util::Rng mf_rng(3);
   rec::MatrixFactorization platform_mf;
-  platform_mf.Fit(bw.world.dataset.target, 15, mf_rng);
+  platform_mf.Fit(bw.dataset.target, 15, mf_rng);
   const defense::ProfileFeatureExtractor extractor(
-      &bw.world.dataset.target, &platform_mf.item_embeddings());
+      &bw.dataset.target, &platform_mf.item_embeddings());
 
   util::Rng rng(7);
   std::vector<data::Profile> genuine;
   genuine.reserve(race.genuine_profiles);
   for (std::size_t i = 0; i < race.genuine_profiles; ++i) {
     const data::UserId u = static_cast<data::UserId>(
-        rng.UniformUint64(bw.world.dataset.target.num_users()));
-    genuine.push_back(bw.world.dataset.target.UserProfile(u));
+        rng.UniformUint64(bw.dataset.target.num_users()));
+    genuine.push_back(bw.dataset.target.UserProfile(u));
   }
   const auto genuine_features = ExtractAll(extractor, genuine, rng);
 
   const auto targets = data::SampleColdTargetItems(
-      bw.world.dataset, race.num_targets, 10, rng);
+      bw.dataset, race.num_targets, 10, rng);
   if (targets.empty()) {
     std::fprintf(stderr, "bench_arms_race: no cold target items\n");
     return 1;

@@ -14,33 +14,21 @@
 
 namespace copyattack::bench {
 
-BenchWorld BuildBenchWorld(const data::SyntheticConfig& config,
-                           std::size_t tree_depth) {
+core::AttackWorld BuildBenchWorld(const data::SyntheticConfig& config,
+                                  std::size_t tree_depth) {
   CA_LOG(Info) << "generating world: " << config.name;
-  data::SyntheticWorld world = data::GenerateSyntheticWorld(config);
-
-  util::Rng split_rng(config.seed ^ 0x51517ULL);
-  data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-
-  rec::PinSageLite model;
-  rec::TrainOptions train_options;
-  train_options.max_epochs = 40;
-  train_options.patience = 5;
-  util::Rng train_rng(config.seed ^ 0x7EA7ULL);
-  rec::TrainReport report = rec::TrainWithEarlyStopping(
-      model, split, world.dataset.target, train_options, train_rng);
-  CA_LOG(Info) << "target model trained: " << report.epochs_run
-               << " epochs, test HR@10 = " << report.test_hr;
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = tree_depth;
-  artifact_options.seed = config.seed ^ 0xA11CEULL;
-  core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
-
-  return BenchWorld(std::move(world), std::move(split), std::move(model),
-                    report, std::move(artifacts));
+  core::WorldOptions options;
+  options.split_seed = config.seed ^ 0x51517ULL;
+  options.train_seed = config.seed ^ 0x7EA7ULL;
+  options.train.max_epochs = 40;
+  options.train.patience = 5;
+  options.artifacts.tree_depth = tree_depth;
+  options.artifacts.seed = config.seed ^ 0xA11CEULL;
+  core::AttackWorld world = core::BuildAttackWorld(
+      data::GenerateSyntheticWorld(config).dataset, options);
+  CA_LOG(Info) << "target model trained: " << world.train_report.epochs_run
+               << " epochs, test HR@10 = " << world.train_report.test_hr;
+  return world;
 }
 
 const std::vector<std::string>& Table2Methods() {
@@ -52,19 +40,19 @@ const std::vector<std::string>& Table2Methods() {
   return *methods;
 }
 
-serve::StrategySpec ResolveMethod(const BenchWorld& bw,
+serve::StrategySpec ResolveMethod(const core::AttackWorld& bw,
                                   const std::string& method) {
   serve::StrategySpec spec =
-      serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts, method);
+      serve::MakeStrategyFactory(bw.dataset, bw.artifacts, method);
   CA_CHECK(spec.factory != nullptr) << spec.error;
   return spec;
 }
 
-core::CampaignResult RunAttack(const BenchWorld& bw,
+core::CampaignResult RunAttack(const core::AttackWorld& bw,
                                const core::StrategyFactory& strategy,
                                const std::vector<data::ItemId>& targets,
                                const core::CampaignConfig& config) {
-  return core::ParallelCampaignRunner(bw.world.dataset, bw.split.train,
+  return core::ParallelCampaignRunner(bw.dataset, bw.split.train,
                                       bw.ModelFactory(), strategy,
                                       core::ParallelRunnerOptions{})
       .Run(targets, config)
@@ -123,10 +111,10 @@ void RunBudgetSweep(const data::SyntheticConfig& config,
                     const std::vector<std::size_t>& budgets,
                     const std::vector<std::string>& methods,
                     std::size_t num_targets, const std::string& csv_name) {
-  const BenchWorld bw = BuildBenchWorld(config, tree_depth);
+  const core::AttackWorld bw = BuildBenchWorld(config, tree_depth);
   util::Rng target_rng(1789);
   const std::vector<data::ItemId> targets = data::SampleColdTargetItems(
-      bw.world.dataset, num_targets, 10, target_rng);
+      bw.dataset, num_targets, 10, target_rng);
 
   util::CsvWriter csv(ResultPath(csv_name),
                       {"dataset", "method", "budget", "hr20", "ndcg20"});

@@ -10,45 +10,17 @@
 #include "core/flat_policy.h"
 #include "core/parallel_runner.h"
 #include "core/runner.h"
-#include "data/split.h"
+#include "core/world.h"
 #include "data/synthetic.h"
-#include "rec/pinsage_lite.h"
-#include "rec/trainer.h"
 #include "serve/attack_server.h"
 
 namespace copyattack::bench {
 
-/// Everything one experiment binary needs for one dataset pair: the
-/// synthetic world, the target-domain split, the trained black-box target
-/// model, and the shared source-domain artifacts (MF embeddings + the
-/// balanced clustering tree).
-struct BenchWorld {
-  data::SyntheticWorld world;
-  data::TrainValidTestSplit split;
-  rec::PinSageLite model;
-  rec::TrainReport train_report;
-  core::SourceArtifacts artifacts;
-
-  BenchWorld(data::SyntheticWorld w, data::TrainValidTestSplit s,
-             rec::PinSageLite m, rec::TrainReport r,
-             core::SourceArtifacts a)
-      : world(std::move(w)),
-        split(std::move(s)),
-        model(std::move(m)),
-        train_report(r),
-        artifacts(std::move(a)) {}
-
-  core::ModelFactory ModelFactory() const {
-    return [this] { return std::make_unique<rec::PinSageLite>(model); };
-  }
-};
-
-/// Builds a BenchWorld: generates the world, splits 80/10/10, trains the
-/// PinSage-style target model with early stopping on validation HR@10
-/// (paper §5.1.3), and prepares the source artifacts with the given tree
-/// depth (paper: 3 for the small pair, 6 for the large pair).
-BenchWorld BuildBenchWorld(const data::SyntheticConfig& config,
-                           std::size_t tree_depth);
+/// Generates the synthetic pair and builds its attack world with seeds
+/// derived from `config.seed`, at most 40 target-model epochs and the
+/// given tree depth (paper: 3 for the small pair, 6 for the large pair).
+core::AttackWorld BuildBenchWorld(const data::SyntheticConfig& config,
+                                  std::size_t tree_depth);
 
 /// The method names of Table 2, in paper order (excluding WithoutAttack,
 /// which the runner handles separately).
@@ -56,12 +28,12 @@ const std::vector<std::string>& Table2Methods();
 
 /// Resolves a method name through the shared strategy registry
 /// (`serve::MakeStrategyFactory`); aborts on an unknown name.
-serve::StrategySpec ResolveMethod(const BenchWorld& bw,
+serve::StrategySpec ResolveMethod(const core::AttackWorld& bw,
                                   const std::string& method);
 
 /// Runs one campaign against `bw`'s target model through the sharded
 /// runner at its default options (one job) and returns its Table-2 row.
-core::CampaignResult RunAttack(const BenchWorld& bw,
+core::CampaignResult RunAttack(const core::AttackWorld& bw,
                                const core::StrategyFactory& strategy,
                                const std::vector<data::ItemId>& targets,
                                const core::CampaignConfig& config);

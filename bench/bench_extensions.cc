@@ -20,15 +20,15 @@ namespace {
 
 using namespace copyattack;
 
-void RunProxyExperiment(const bench::BenchWorld& bw,
+void RunProxyExperiment(const core::AttackWorld& bw,
                         util::CsvWriter& csv) {
   // Target items with target-domain interactions but no source holders.
   std::vector<data::ItemId> orphans;
-  for (data::ItemId item = 0; item < bw.world.dataset.target.num_items();
+  for (data::ItemId item = 0; item < bw.dataset.target.num_items();
        ++item) {
-    if (bw.world.dataset.SourceHolders(item).empty() &&
-        bw.world.dataset.target.ItemPopularity(item) > 0 &&
-        bw.world.dataset.target.ItemPopularity(item) < 10) {
+    if (bw.dataset.SourceHolders(item).empty() &&
+        bw.dataset.target.ItemPopularity(item) > 0 &&
+        bw.dataset.target.ItemPopularity(item) < 10) {
       orphans.push_back(item);
     }
     if (orphans.size() >= 20) break;
@@ -43,15 +43,14 @@ void RunProxyExperiment(const bench::BenchWorld& bw,
 
   core::CampaignConfig campaign = bench::DefaultCampaign(909);
   const auto clean = core::EvaluateWithoutAttack(
-      bw.world.dataset, bw.split.train, bw.ModelFactory(), orphans,
-      campaign);
+      bw.dataset, bw.split.train, bw.ModelFactory(), orphans, campaign);
   const auto attacked = bench::RunAttack(
       bw,
       [&](std::uint64_t seed) {
         core::CopyAttackConfig config;
         config.allow_proxy = true;
         return std::make_unique<core::CopyAttack>(
-            &bw.world.dataset, &bw.artifacts.tree,
+            &bw.dataset, &bw.artifacts.tree,
             &bw.artifacts.mf.user_embeddings(),
             &bw.artifacts.mf.item_embeddings(), config, seed);
       },
@@ -65,20 +64,19 @@ void RunProxyExperiment(const bench::BenchWorld& bw,
                 bench::F4(attacked.metrics.at(20).hr)});
 }
 
-void RunDemotionExperiment(const bench::BenchWorld& bw,
+void RunDemotionExperiment(const core::AttackWorld& bw,
                            util::CsvWriter& csv) {
   // Targets: popular overlapping items (the ones users actually see).
   util::Rng rng(911);
   const auto groups = data::SampleTargetsByPopularityGroup(
-      bw.world.dataset, 10, 15, rng);
+      bw.dataset, 10, 15, rng);
   const std::vector<data::ItemId>& popular = groups.at(0);
   std::printf("\n-- demotion: %zu popular items --\n", popular.size());
 
   core::CampaignConfig campaign = bench::DefaultCampaign(912);
   campaign.env.goal = core::AttackGoal::kDemote;
   const auto clean = core::EvaluateWithoutAttack(
-      bw.world.dataset, bw.split.train, bw.ModelFactory(), popular,
-      campaign);
+      bw.dataset, bw.split.train, bw.ModelFactory(), popular, campaign);
   const auto attacked = bench::RunAttack(
       bw, bench::ResolveMethod(bw, "CopyAttack").factory, popular,
       campaign);
@@ -97,7 +95,7 @@ int main(int argc, char** argv) {
   obs::Stopwatch watch;
   std::printf("=== Extensions: proxy targeting and demotion (paper §6) ===\n");
 
-  const bench::BenchWorld bw =
+  const core::AttackWorld bw =
       bench::BuildBenchWorld(data::SyntheticConfig::SmallCross(), 3);
   util::CsvWriter csv(bench::ResultPath("extensions.csv"),
                       {"experiment", "hr20_before", "hr20_after"});

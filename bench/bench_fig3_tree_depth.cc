@@ -25,10 +25,10 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
   for (const std::size_t depth : depths) {
     // The tree (and hence the policy architecture) depends on the depth,
     // so the artifacts are rebuilt per sweep point.
-    const bench::BenchWorld bw = bench::BuildBenchWorld(config, depth);
+    const core::AttackWorld bw = bench::BuildBenchWorld(config, depth);
     util::Rng target_rng(1789);
     const auto targets = data::SampleColdTargetItems(
-        bw.world.dataset, num_targets, 10, target_rng);
+        bw.dataset, num_targets, 10, target_rng);
 
     const core::CampaignConfig campaign = bench::DefaultCampaign(4242);
     const auto result = bench::RunAttack(

@@ -20,10 +20,10 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
                 copyattack::util::CsvWriter& csv) {
   using namespace copyattack;
 
-  const bench::BenchWorld bw = bench::BuildBenchWorld(config, tree_depth);
+  const core::AttackWorld bw = bench::BuildBenchWorld(config, tree_depth);
   util::Rng target_rng(97);
   const auto groups = data::SampleTargetsByPopularityGroup(
-      bw.world.dataset, 10, per_group, target_rng);
+      bw.dataset, 10, per_group, target_rng);
 
   std::printf("\n--- %s (%zu items per popularity group) ---\n",
               config.name.c_str(), per_group);
@@ -32,8 +32,7 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
     if (groups[g].empty()) continue;
     double mean_pop = 0.0;
     for (const data::ItemId item : groups[g]) {
-      mean_pop += static_cast<double>(
-          bw.world.dataset.target.ItemPopularity(item));
+      mean_pop += static_cast<double>(bw.dataset.target.ItemPopularity(item));
     }
     mean_pop /= static_cast<double>(groups[g].size());
 

@@ -20,11 +20,11 @@ int main(int argc, char** argv) {
   obs::Stopwatch watch;
   std::printf("=== Query budget: CopyAttack under capped query rounds ===\n");
 
-  const bench::BenchWorld bw =
+  const core::AttackWorld bw =
       bench::BuildBenchWorld(data::SyntheticConfig::SmallCross(), 3);
   util::Rng target_rng(1789);
   const auto targets =
-      data::SampleColdTargetItems(bw.world.dataset, 25, 10, target_rng);
+      data::SampleColdTargetItems(bw.dataset, 25, 10, target_rng);
 
   util::CsvWriter csv(bench::ResultPath("query_budget.csv"),
                       {"max_query_rounds", "hr20", "ndcg20",

@@ -21,11 +21,11 @@ int main(int argc, char** argv) {
   obs::Stopwatch watch;
   std::printf("=== Agent ablations: reward shaping and state encoder ===\n");
 
-  const bench::BenchWorld bw =
+  const core::AttackWorld bw =
       bench::BuildBenchWorld(data::SyntheticConfig::SmallCross(), 3);
   util::Rng target_rng(1789);
   const auto targets =
-      data::SampleColdTargetItems(bw.world.dataset, 30, 10, target_rng);
+      data::SampleColdTargetItems(bw.dataset, 30, 10, target_rng);
 
   util::CsvWriter csv(bench::ResultPath("reward_shaping.csv"),
                       {"shaping", "hr20", "hr10", "hr5", "ndcg20",
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
           config.reward_shaping = variant.shaping;
           config.selection.encoder = variant.encoder;
           return std::make_unique<core::CopyAttack>(
-              &bw.world.dataset, &bw.artifacts.tree,
+              &bw.dataset, &bw.artifacts.tree,
               &bw.artifacts.mf.user_embeddings(),
               &bw.artifacts.mf.item_embeddings(), config, seed);
         },

@@ -27,11 +27,10 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
                 copyattack::util::CsvWriter& csv) {
   using namespace copyattack;
 
-  const bench::BenchWorld bw = bench::BuildBenchWorld(config, tree_depth);
+  const core::AttackWorld bw = bench::BuildBenchWorld(config, tree_depth);
   util::Rng target_rng(1789);
   const std::vector<data::ItemId> targets =
-      data::SampleColdTargetItems(bw.world.dataset, num_targets, 10,
-                                  target_rng);
+      data::SampleColdTargetItems(bw.dataset, num_targets, 10, target_rng);
   std::printf("\n--- %s (%zu target items, budget 30) ---\n",
               config.name.c_str(), targets.size());
   std::printf("%s\n", core::CampaignRowHeader().c_str());
@@ -50,7 +49,7 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
   };
 
   const core::CampaignConfig base = bench::DefaultCampaign(4242);
-  emit(core::EvaluateWithoutAttack(bw.world.dataset, bw.split.train,
+  emit(core::EvaluateWithoutAttack(bw.dataset, bw.split.train,
                                    bw.ModelFactory(), targets, base));
 
   for (const std::string& method : bench::Table2Methods()) {

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                 {data::SyntheticConfig::LargeCross(), 6}};
 
   for (const auto& setup : setups) {
-    const bench::BenchWorld bw =
+    const core::AttackWorld bw =
         bench::BuildBenchWorld(setup.config, setup.tree_depth);
     std::printf("%-30s  epochs=%-3zu  valid HR@10=%s  test HR@10=%s  "
                 "test NDCG@10=%s\n",

@@ -32,15 +32,14 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: inductive vs transductive target model ===\n");
 
   const data::SyntheticConfig config = data::SyntheticConfig::SmallCross();
-  const bench::BenchWorld bw = bench::BuildBenchWorld(config, 3);
+  const core::AttackWorld bw = bench::BuildBenchWorld(config, 3);
 
   // Trained MF and ItemKNN targets for the transductive variants.
   rec::MatrixFactorization mf_prototype;
   rec::TrainOptions train_options;
   util::Rng mf_rng(31);
   const auto mf_report = rec::TrainWithEarlyStopping(
-      mf_prototype, bw.split, bw.world.dataset.target, train_options,
-      mf_rng);
+      mf_prototype, bw.split, bw.dataset.target, train_options, mf_rng);
   rec::ItemKnn knn_prototype;
   util::Rng knn_rng(37);
   knn_prototype.Fit(bw.split.train, 1, knn_rng);
@@ -50,7 +49,7 @@ int main(int argc, char** argv) {
 
   util::Rng target_rng(1789);
   const auto targets =
-      data::SampleColdTargetItems(bw.world.dataset, 25, 10, target_rng);
+      data::SampleColdTargetItems(bw.dataset, 25, 10, target_rng);
 
   util::CsvWriter csv(bench::ResultPath("target_models.csv"),
                       {"target_model", "hr20_clean", "hr20_attacked"});
@@ -61,8 +60,7 @@ int main(int argc, char** argv) {
     bool refit;
   };
   const Variant variants[] = {
-      {"PinSage-inductive",
-       [&] { return std::make_unique<rec::PinSageLite>(bw.model); }, false},
+      {"PinSage-inductive", bw.ModelFactory(), false},
       {"MF-frozen",
        [&] { return std::make_unique<rec::MatrixFactorization>(mf_prototype); },
        false},
@@ -85,11 +83,10 @@ int main(int argc, char** argv) {
     campaign.env.refit_epochs = 1;
 
     const auto clean = core::EvaluateWithoutAttack(
-        bw.world.dataset, bw.split.train, variant.factory, targets,
-        campaign);
+        bw.dataset, bw.split.train, variant.factory, targets, campaign);
     const auto attacked =
         core::ParallelCampaignRunner(
-            bw.world.dataset, bw.split.train, variant.factory,
+            bw.dataset, bw.split.train, variant.factory,
             bench::ResolveMethod(bw, "TargetAttack40").factory,
             core::ParallelRunnerOptions{})
             .Run(targets, campaign)

@@ -19,11 +19,9 @@
 #include "core/copy_attack.h"
 #include "core/parallel_runner.h"
 #include "core/runner.h"
-#include "data/split.h"
+#include "core/world.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
-#include "rec/pinsage_lite.h"
-#include "rec/trainer.h"
 #include "util/csv.h"
 
 int main() {
@@ -31,22 +29,13 @@ int main() {
 
   // Platform A and platform B share 600 of 800 items.
   const data::SyntheticConfig config = data::SyntheticConfig::SmallCross();
-  const data::SyntheticWorld world = data::GenerateSyntheticWorld(config);
-
-  util::Rng split_rng(11);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-
-  rec::PinSageLite model;
-  util::Rng train_rng(12);
-  const auto report = rec::TrainWithEarlyStopping(
-      model, split, world.dataset.target, rec::TrainOptions{}, train_rng);
-  std::printf("platform A recommender: test HR@10 = %.3f\n", report.test_hr);
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = 3;
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
+  core::WorldOptions options;
+  options.split_seed = 11;
+  options.train_seed = 12;
+  const core::AttackWorld world = core::BuildAttackWorld(
+      data::GenerateSyntheticWorld(config).dataset, options);
+  std::printf("platform A recommender: test HR@10 = %.3f\n",
+              world.train_report.test_hr);
 
   // The campaign slate: 12 cold items the attacker wants promoted.
   util::Rng target_rng(13);
@@ -61,16 +50,14 @@ int main() {
   campaign.eval_users = 250;
   campaign.seed = 99;
 
-  const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(model);
-  };
+  const core::ModelFactory model_factory = world.ModelFactory();
 
   std::printf("%s\n", core::CampaignRowHeader().c_str());
   util::CsvWriter csv("promotion_campaign.csv",
                       {"method", "hr20", "ndcg20", "items_per_profile"});
 
   const auto without = core::EvaluateWithoutAttack(
-      world.dataset, split.train, model_factory, slate, campaign);
+      world.dataset, world.split.train, model_factory, slate, campaign);
   std::printf("%s\n", core::FormatCampaignRow(without).c_str());
 
   struct MethodSpec {
@@ -92,9 +79,9 @@ int main() {
       {"CopyAttack",
        [&](std::uint64_t seed) {
          return std::make_unique<core::CopyAttack>(
-             &world.dataset, &artifacts.tree,
-             &artifacts.mf.user_embeddings(),
-             &artifacts.mf.item_embeddings(), core::CopyAttackConfig{},
+             &world.dataset, &world.artifacts.tree,
+             &world.artifacts.mf.user_embeddings(),
+             &world.artifacts.mf.item_embeddings(), core::CopyAttackConfig{},
              seed);
        },
        12},
@@ -104,7 +91,7 @@ int main() {
     core::CampaignConfig per_method = campaign;
     per_method.episodes = spec.episodes;
     const auto result =
-        core::ParallelCampaignRunner(world.dataset, split.train,
+        core::ParallelCampaignRunner(world.dataset, world.split.train,
                                      model_factory, spec.factory,
                                      core::ParallelRunnerOptions{})
             .Run(slate, per_method)

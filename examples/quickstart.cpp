@@ -15,12 +15,9 @@
 
 #include "core/copy_attack.h"
 #include "core/environment.h"
-#include "core/runner.h"
-#include "data/split.h"
+#include "core/world.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
-#include "rec/pinsage_lite.h"
-#include "rec/trainer.h"
 
 int main() {
   using namespace copyattack;
@@ -31,28 +28,20 @@ int main() {
   data::SyntheticConfig config = data::SyntheticConfig::SmallCross();
   config.num_target_users = 1000;
   config.num_source_users = 3000;
-  const data::SyntheticWorld world = data::GenerateSyntheticWorld(config);
+
+  // 2. Train the black-box target model (80/10/10, early stopping) and
+  // 3. the source-domain artifacts: MF embeddings + clustering tree.
+  core::WorldOptions options;
+  options.split_seed = 1;
+  options.train_seed = 2;
+  core::AttackWorld world = core::BuildAttackWorld(
+      data::GenerateSyntheticWorld(config).dataset, options);
   std::printf("world: %zu target users, %zu source users, %zu shared items\n",
               world.dataset.target.num_users(),
               world.dataset.source.num_users(),
               world.dataset.OverlapCount());
-
-  // 2. Train the black-box target model (80/10/10, early stopping).
-  util::Rng split_rng(1);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng train_rng(2);
-  const rec::TrainReport report = rec::TrainWithEarlyStopping(
-      model, split, world.dataset.target, rec::TrainOptions{}, train_rng);
   std::printf("target model: test HR@10 = %.3f after %zu epochs\n",
-              report.test_hr, report.epochs_run);
-
-  // 3. Source-domain artifacts: MF embeddings + clustering tree.
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = 3;
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
+              world.train_report.test_hr, world.train_report.epochs_run);
 
   // 4. Attack one cold item with CopyAttack.
   util::Rng target_rng(3);
@@ -66,14 +55,14 @@ int main() {
   core::EnvConfig env_config;
   env_config.budget = 30;
   env_config.num_pretend_users = 30;
-  core::AttackEnvironment env(world.dataset, split.train, &model,
+  core::AttackEnvironment env(world.dataset, world.split.train, &world.model,
                               env_config);
   env.Reset(target_item);
   const auto before = env.EvaluateRealPromotion({20, 10, 5}, 200, 100);
 
-  core::CopyAttack attack(&world.dataset, &artifacts.tree,
-                          &artifacts.mf.user_embeddings(),
-                          &artifacts.mf.item_embeddings(),
+  core::CopyAttack attack(&world.dataset, &world.artifacts.tree,
+                          &world.artifacts.mf.user_embeddings(),
+                          &world.artifacts.mf.item_embeddings(),
                           core::CopyAttackConfig{}, /*seed=*/4);
   attack.BeginTargetItem(target_item);
   util::Rng episode_rng(5);

@@ -38,7 +38,7 @@ core::EnvConfig SmallEnvConfig() {
 
 std::shared_ptr<const TargetSurrogate> SharedSurrogate() {
   static const auto surrogate = std::make_shared<const TargetSurrogate>(
-      SharedTinyWorld().world.dataset.target, SurrogateConfig{});
+      SharedTinyWorld().dataset.target, SurrogateConfig{});
   return surrogate;
 }
 
@@ -59,14 +59,14 @@ std::vector<data::Profile> HarvestInjected(const TinyWorld& tw,
 
 TEST(TargetSurrogateTest, RetrainingIsDeterministic) {
   const auto& tw = SharedTinyWorld();
-  const TargetSurrogate a(tw.world.dataset.target, SurrogateConfig{});
-  const TargetSurrogate b(tw.world.dataset.target, SurrogateConfig{});
-  ASSERT_EQ(a.num_items(), tw.world.dataset.target.num_items());
+  const TargetSurrogate a(tw.dataset.target, SurrogateConfig{});
+  const TargetSurrogate b(tw.dataset.target, SurrogateConfig{});
+  ASSERT_EQ(a.num_items(), tw.dataset.target.num_items());
   ASSERT_EQ(a.mean_user_embedding().size(), a.embedding_dim());
   // Fixed training seed: two independently trained surrogates are
   // bit-identical, the property shard- and resume-invariance rest on.
   EXPECT_EQ(a.mean_user_embedding(), b.mean_user_embedding());
-  const data::Profile probe = tw.world.dataset.target.UserProfile(0);
+  const data::Profile probe = tw.dataset.target.UserProfile(0);
   EXPECT_EQ(a.FoldInProfile(probe), b.FoldInProfile(probe));
 }
 
@@ -86,13 +86,13 @@ TEST(TargetSurrogateTest, FoldInAveragesItemEmbeddings) {
 
 TEST(SurrogateTransferTest, EpisodeInjectsCraftedProfilesWithTarget) {
   const auto& tw = SharedTinyWorld();
-  SurrogateTransferAttack strategy(&tw.world.dataset, SharedSurrogate(),
+  SurrogateTransferAttack strategy(&tw.dataset, SharedSurrogate(),
                                    SurrogateTransferConfig{},
                                    testhelpers::TestSeed(1));
   strategy.BeginTargetItem(tw.cold_target);
 
   rec::PinSageLite model = tw.model;
-  core::AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  core::AttackEnvironment env(tw.dataset, tw.split.train, &model,
                               SmallEnvConfig());
   env.Reset(tw.cold_target);
   util::Rng rng(testhelpers::TestSeed(3));
@@ -113,14 +113,14 @@ TEST(SurrogateTransferTest, EpisodeInjectsCraftedProfilesWithTarget) {
 
 TEST(SurrogateTransferTest, StepScaleDecaysOnlyWhileLearning) {
   const auto& tw = SharedTinyWorld();
-  SurrogateTransferAttack strategy(&tw.world.dataset, SharedSurrogate(),
+  SurrogateTransferAttack strategy(&tw.dataset, SharedSurrogate(),
                                    SurrogateTransferConfig{},
                                    testhelpers::TestSeed(5));
   strategy.BeginTargetItem(tw.cold_target);
   EXPECT_EQ(strategy.step_scale(), 1.0);
 
   rec::PinSageLite model = tw.model;
-  core::AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  core::AttackEnvironment env(tw.dataset, tw.split.train, &model,
                               SmallEnvConfig());
   util::Rng rng(testhelpers::TestSeed(3));
   for (int e = 0; e < 4; ++e) {
@@ -140,13 +140,13 @@ TEST(SurrogateTransferTest, StepScaleDecaysOnlyWhileLearning) {
 
 TEST(SurrogateTransferTest, CheckpointRoundTripResumesExactTrajectory) {
   const auto& tw = SharedTinyWorld();
-  SurrogateTransferAttack original(&tw.world.dataset, SharedSurrogate(),
+  SurrogateTransferAttack original(&tw.dataset, SharedSurrogate(),
                                    SurrogateTransferConfig{},
                                    testhelpers::TestSeed(1));
   original.BeginTargetItem(tw.cold_target);
   {
     rec::PinSageLite model = tw.model;
-    core::AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+    core::AttackEnvironment env(tw.dataset, tw.split.train, &model,
                                 SmallEnvConfig());
     util::Rng rng(testhelpers::TestSeed(3));
     for (int e = 0; e < 2; ++e) {
@@ -161,7 +161,7 @@ TEST(SurrogateTransferTest, CheckpointRoundTripResumesExactTrajectory) {
   // A fresh strategy with a DIFFERENT seed must continue the exact
   // trajectory after LoadState: the ascent rng, step scale and best seed
   // user are all part of the checkpoint.
-  SurrogateTransferAttack restored(&tw.world.dataset, SharedSurrogate(),
+  SurrogateTransferAttack restored(&tw.dataset, SharedSurrogate(),
                                    SurrogateTransferConfig{},
                                    testhelpers::TestSeed(999));
   restored.BeginTargetItem(tw.cold_target);
@@ -170,9 +170,9 @@ TEST(SurrogateTransferTest, CheckpointRoundTripResumesExactTrajectory) {
 
   rec::PinSageLite model_a = tw.model;
   rec::PinSageLite model_b = tw.model;
-  core::AttackEnvironment env_a(tw.world.dataset, tw.split.train, &model_a,
+  core::AttackEnvironment env_a(tw.dataset, tw.split.train, &model_a,
                                 SmallEnvConfig());
-  core::AttackEnvironment env_b(tw.world.dataset, tw.split.train, &model_b,
+  core::AttackEnvironment env_b(tw.dataset, tw.split.train, &model_b,
                                 SmallEnvConfig());
   util::Rng rng_a(testhelpers::TestSeed(55));
   util::Rng rng_b(testhelpers::TestSeed(55));
@@ -188,9 +188,9 @@ TEST(SurrogateTransferTest, CheckpointRoundTripResumesExactTrajectory) {
 
 TEST(InfluenceTest, RankingIsDeterministicOverSourceHolders) {
   const auto& tw = SharedTinyWorld();
-  InfluenceAttack a(&tw.world.dataset, SharedSurrogate(), InfluenceConfig{},
+  InfluenceAttack a(&tw.dataset, SharedSurrogate(), InfluenceConfig{},
                     testhelpers::TestSeed(1));
-  InfluenceAttack b(&tw.world.dataset, SharedSurrogate(), InfluenceConfig{},
+  InfluenceAttack b(&tw.dataset, SharedSurrogate(), InfluenceConfig{},
                     testhelpers::TestSeed(2));
   a.BeginTargetItem(tw.cold_target);
   b.BeginTargetItem(tw.cold_target);
@@ -198,7 +198,7 @@ TEST(InfluenceTest, RankingIsDeterministicOverSourceHolders) {
   // The analytic pick is seed-independent.
   EXPECT_EQ(a.ranked_candidates(), b.ranked_candidates());
 
-  const auto& holders = tw.world.dataset.SourceHolders(tw.cold_target);
+  const auto& holders = tw.dataset.SourceHolders(tw.cold_target);
   const std::set<data::UserId> holder_set(holders.begin(), holders.end());
   for (const data::UserId u : a.ranked_candidates()) {
     EXPECT_TRUE(holder_set.count(u)) << "candidate " << u
@@ -208,12 +208,12 @@ TEST(InfluenceTest, RankingIsDeterministicOverSourceHolders) {
 
 TEST(InfluenceTest, EpisodeInjectsClippedHolderProfiles) {
   const auto& tw = SharedTinyWorld();
-  InfluenceAttack strategy(&tw.world.dataset, SharedSurrogate(),
+  InfluenceAttack strategy(&tw.dataset, SharedSurrogate(),
                            InfluenceConfig{}, testhelpers::TestSeed(1));
   strategy.BeginTargetItem(tw.cold_target);
 
   rec::PinSageLite model = tw.model;
-  core::AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  core::AttackEnvironment env(tw.dataset, tw.split.train, &model,
                               SmallEnvConfig());
   env.Reset(tw.cold_target);
   util::Rng rng(testhelpers::TestSeed(3));
@@ -230,12 +230,12 @@ TEST(InfluenceTest, EpisodeInjectsClippedHolderProfiles) {
 
 TEST(InfluenceTest, CheckpointRoundTripPreservesCursor) {
   const auto& tw = SharedTinyWorld();
-  InfluenceAttack original(&tw.world.dataset, SharedSurrogate(),
+  InfluenceAttack original(&tw.dataset, SharedSurrogate(),
                            InfluenceConfig{}, testhelpers::TestSeed(1));
   original.BeginTargetItem(tw.cold_target);
   {
     rec::PinSageLite model = tw.model;
-    core::AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+    core::AttackEnvironment env(tw.dataset, tw.split.train, &model,
                                 SmallEnvConfig());
     util::Rng rng(testhelpers::TestSeed(3));
     for (int e = 0; e < 3; ++e) {
@@ -247,7 +247,7 @@ TEST(InfluenceTest, CheckpointRoundTripPreservesCursor) {
   std::stringstream blob;
   ASSERT_TRUE(original.SaveState(blob));
 
-  InfluenceAttack restored(&tw.world.dataset, SharedSurrogate(),
+  InfluenceAttack restored(&tw.dataset, SharedSurrogate(),
                            InfluenceConfig{}, testhelpers::TestSeed(999));
   restored.BeginTargetItem(tw.cold_target);
   ASSERT_TRUE(restored.LoadState(blob));
@@ -255,9 +255,9 @@ TEST(InfluenceTest, CheckpointRoundTripPreservesCursor) {
 
   rec::PinSageLite model_a = tw.model;
   rec::PinSageLite model_b = tw.model;
-  core::AttackEnvironment env_a(tw.world.dataset, tw.split.train, &model_a,
+  core::AttackEnvironment env_a(tw.dataset, tw.split.train, &model_a,
                                 SmallEnvConfig());
-  core::AttackEnvironment env_b(tw.world.dataset, tw.split.train, &model_b,
+  core::AttackEnvironment env_b(tw.dataset, tw.split.train, &model_b,
                                 SmallEnvConfig());
   util::Rng rng_a(testhelpers::TestSeed(55));
   util::Rng rng_b(testhelpers::TestSeed(55));
@@ -270,7 +270,7 @@ TEST(InfluenceTest, CheckpointRoundTripPreservesCursor) {
 
 TEST(InfluenceTest, LoadStateRejectsTruncatedBlob) {
   const auto& tw = SharedTinyWorld();
-  InfluenceAttack strategy(&tw.world.dataset, SharedSurrogate(),
+  InfluenceAttack strategy(&tw.dataset, SharedSurrogate(),
                            InfluenceConfig{}, testhelpers::TestSeed(1));
   strategy.BeginTargetItem(tw.cold_target);
   std::stringstream truncated("abc");

@@ -449,7 +449,7 @@ StrategyFactory LearningFactory() {
   agent_config.learning_rate = 0.1f;
   return [&tw, agent_config](std::uint64_t seed) {
     return std::make_unique<CopyAttack>(
-        &tw.world.dataset, &tw.artifacts.tree,
+        &tw.dataset, &tw.artifacts.tree,
         &tw.artifacts.mf.user_embeddings(),
         &tw.artifacts.mf.item_embeddings(), agent_config, seed);
   };
@@ -471,7 +471,7 @@ void ExpectSameResult(const CampaignResult& a, const CampaignResult& b) {
 std::vector<data::ItemId> ResumableTargets() {
   const auto& tw = SharedTinyWorld();
   util::Rng rng(testhelpers::TestSeed(71));
-  return data::SampleColdTargetItems(tw.world.dataset, 2, 10, rng);
+  return data::SampleColdTargetItems(tw.dataset, 2, 10, rng);
 }
 
 CampaignResult RunResumable(const CampaignConfig& config,
@@ -480,7 +480,7 @@ CampaignResult RunResumable(const CampaignConfig& config,
   const auto& tw = SharedTinyWorld();
   ParallelRunnerOptions options;
   options.checkpoint = checkpoint;
-  return ParallelCampaignRunner(tw.world.dataset, tw.split.train,
+  return ParallelCampaignRunner(tw.dataset, tw.split.train,
                                 tw.ModelFactory(), LearningFactory(),
                                 options)
       .Run(ResumableTargets(), config)

@@ -93,6 +93,33 @@ TEST(CliTest, TrainReportsQuality) {
   RemoveWorld(prefix);
 }
 
+/// The text after `label` on its line of `output` (empty if absent).
+std::string ValueAfter(const std::string& output, const std::string& label) {
+  const std::size_t at = output.find(label);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = output.find_first_not_of(' ', at + label.size());
+  return output.substr(begin, output.find('\n', begin) - begin);
+}
+
+TEST(CliTest, TrainAndAttackTrainTheSameTargetModel) {
+  const std::string prefix = TempPrefix("cli_same_model_world");
+  std::string output;
+  ASSERT_EQ(RunTool({"generate", "--config=tiny", "--out", prefix}, &output),
+            0);
+  ASSERT_EQ(RunTool({"train", "--data", prefix, "--max-epochs=3"}, &output),
+            0);
+  const std::string trained = ValueAfter(output, "test  HR@10:");
+  ASSERT_EQ(RunTool({"attack", "--data", prefix, "--max-epochs=3",
+                     "--method=RandomAttack", "--targets=1", "--budget=3"},
+                    &output),
+            0);
+  const std::string attacked =
+      ValueAfter(output, "target model test HR@10:");
+  ASSERT_FALSE(trained.empty());
+  EXPECT_EQ(trained, attacked);
+  RemoveWorld(prefix);
+}
+
 TEST(CliTest, AttackRunsEndToEnd) {
   const std::string prefix = TempPrefix("cli_attack_world");
   std::string output;

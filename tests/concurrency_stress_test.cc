@@ -174,7 +174,7 @@ void ExpectShardedMatchesSingleShard(std::uint64_t seed, std::size_t jobs,
   const auto& tw = SharedTinyWorld();
   util::Rng rng(TestSeed(seed));
   const auto targets =
-      data::SampleColdTargetItems(tw.world.dataset, 6, 10, rng);
+      data::SampleColdTargetItems(tw.dataset, 6, 10, rng);
   ASSERT_GE(targets.size(), min_targets);
 
   core::CampaignConfig config;
@@ -186,14 +186,14 @@ void ExpectShardedMatchesSingleShard(std::uint64_t seed, std::size_t jobs,
   config.eval_users = 40;
   config.eval_negatives = 30;
   const core::StrategyFactory factory = [&tw](std::uint64_t) {
-    return std::make_unique<core::TargetAttack>(tw.world.dataset, 0.7);
+    return std::make_unique<core::TargetAttack>(tw.dataset, 0.7);
   };
 
   core::ParallelRunnerOptions single;
   single.jobs = 1;
   single.shards = 1;
   const core::ParallelCampaignRunner reference_runner(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(), factory, single);
+      tw.dataset, tw.split.train, tw.ModelFactory(), factory, single);
   const auto reference = reference_runner.Run(targets, config);
 
   for (int round = 0; round < 3; ++round) {
@@ -201,7 +201,7 @@ void ExpectShardedMatchesSingleShard(std::uint64_t seed, std::size_t jobs,
     options.jobs = jobs;
     options.shards = shard_per_target ? targets.size() : 0;
     const core::ParallelCampaignRunner runner(
-        tw.world.dataset, tw.split.train, tw.ModelFactory(), factory,
+        tw.dataset, tw.split.train, tw.ModelFactory(), factory,
         options);
     const auto sharded = runner.Run(targets, config);
     ASSERT_EQ(sharded.completed, reference.completed) << "round " << round;

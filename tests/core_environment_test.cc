@@ -30,7 +30,7 @@ data::Profile MakeAttackProfile(const data::CrossDomainDataset& dataset,
 TEST(EnvironmentTest, ResetAddsPretendUsersOnly) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   env.Reset(tw.cold_target);
   EXPECT_EQ(env.black_box().polluted().num_users(),
@@ -43,7 +43,7 @@ TEST(EnvironmentTest, ResetAddsPretendUsersOnly) {
 TEST(EnvironmentTest, PretendUsersNeverHoldTargetItem) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   env.Reset(tw.cold_target);
   for (const data::UserId user : env.pretend_users()) {
@@ -55,12 +55,12 @@ TEST(EnvironmentTest, PretendUsersNeverHoldTargetItem) {
 TEST(EnvironmentTest, QueryCadenceEveryThirdInjection) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   env.Reset(tw.cold_target);
 
   const data::Profile profile =
-      MakeAttackProfile(tw.world.dataset, tw.cold_target);
+      MakeAttackProfile(tw.dataset, tw.cold_target);
   // With query_interval 3: steps 1,2 no query; step 3 queries.
   data::Profile p1 = profile;
   auto r1 = env.Step(std::move(p1));
@@ -78,11 +78,11 @@ TEST(EnvironmentTest, QueryCadenceEveryThirdInjection) {
 TEST(EnvironmentTest, BudgetTerminatesEpisode) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   env.Reset(tw.cold_target);
   const data::Profile profile =
-      MakeAttackProfile(tw.world.dataset, tw.cold_target);
+      MakeAttackProfile(tw.dataset, tw.cold_target);
   AttackEnvironment::StepResult last;
   for (int i = 0; i < 6; ++i) {
     EXPECT_FALSE(env.done());
@@ -99,10 +99,10 @@ TEST(EnvironmentTest, BudgetTerminatesEpisode) {
 TEST(EnvironmentTest, ResetClearsInjections) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   env.Reset(tw.cold_target);
-  data::Profile p = MakeAttackProfile(tw.world.dataset, tw.cold_target);
+  data::Profile p = MakeAttackProfile(tw.dataset, tw.cold_target);
   env.Step(std::move(p));
   EXPECT_EQ(env.black_box().injected_profiles(), 1U);
 
@@ -116,7 +116,7 @@ TEST(EnvironmentTest, ResetClearsInjections) {
 TEST(EnvironmentTest, RewardIsInUnitInterval) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   env.Reset(tw.cold_target);
   const double reward = env.QueryReward();
@@ -134,15 +134,15 @@ TEST(EnvironmentTest, InjectionIncreasesPretendReward) {
   rec::PinSageLite model = tw.model;
   EnvConfig config = SmallEnvConfig();
   config.budget = 12;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model, config);
+  AttackEnvironment env(tw.dataset, tw.split.train, &model, config);
   env.Reset(tw.cold_target);
   const double before = env.QueryReward();
 
-  const auto& holders = tw.world.dataset.SourceHolders(tw.cold_target);
+  const auto& holders = tw.dataset.SourceHolders(tw.cold_target);
   std::size_t injected = 0;
   for (const data::UserId holder : holders) {
     if (env.done()) break;
-    env.Step(tw.world.dataset.source.UserProfile(holder));
+    env.Step(tw.dataset.source.UserProfile(holder));
     ++injected;
   }
   ASSERT_GT(injected, 0U);
@@ -154,13 +154,13 @@ TEST(EnvironmentTest, InjectionIncreasesPretendReward) {
 TEST(EnvironmentTest, EvaluateRealPromotionDeterministic) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model_a = tw.model;
-  AttackEnvironment env_a(tw.world.dataset, tw.split.train, &model_a,
+  AttackEnvironment env_a(tw.dataset, tw.split.train, &model_a,
                           SmallEnvConfig());
   env_a.Reset(tw.cold_target);
   const auto metrics_a = env_a.EvaluateRealPromotion({20, 10}, 50, 50);
 
   rec::PinSageLite model_b = tw.model;
-  AttackEnvironment env_b(tw.world.dataset, tw.split.train, &model_b,
+  AttackEnvironment env_b(tw.dataset, tw.split.train, &model_b,
                           SmallEnvConfig());
   env_b.Reset(tw.cold_target);
   const auto metrics_b = env_b.EvaluateRealPromotion({20, 10}, 50, 50);
@@ -172,7 +172,7 @@ TEST(EnvironmentTest, EvaluateRealPromotionDeterministic) {
 TEST(EnvironmentTest, LifetimeQueriesAccumulateAcrossResets) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   env.Reset(tw.cold_target);
   env.QueryReward();
@@ -184,7 +184,7 @@ TEST(EnvironmentTest, LifetimeQueriesAccumulateAcrossResets) {
 TEST(EnvironmentDeathTest, StepBeforeResetAborts) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   EXPECT_DEATH(env.Step({0, 1}), "CHECK failed");
 }
@@ -205,16 +205,16 @@ TEST(EnvironmentTest, QueryBudgetTerminatesEpisode) {
   config.query_candidates = 40;
   config.max_query_rounds = 2;  // ends after the 2nd query round
   config.seed = 7;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model, config);
+  AttackEnvironment env(tw.dataset, tw.split.train, &model, config);
   env.Reset(tw.cold_target);
 
-  const auto& holders = tw.world.dataset.SourceHolders(tw.cold_target);
+  const auto& holders = tw.dataset.SourceHolders(tw.cold_target);
   std::size_t steps = 0;
   util::Rng rng(testhelpers::TestSeed(3));
   while (!env.done()) {
     const data::UserId holder =
         holders[rng.UniformUint64(holders.size())];
-    env.Step(tw.world.dataset.source.UserProfile(holder));
+    env.Step(tw.dataset.source.UserProfile(holder));
     ++steps;
     ASSERT_LE(steps, 30U);
   }
@@ -242,17 +242,17 @@ TEST_P(QueryCadenceProperty, RoundsMatchFormula) {
   // early-success cutoff so a lucky reseed (COPYATTACK_TEST_SEED) cannot
   // end the episode after one query round.
   config.success_reward = 1.1;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model, config);
+  AttackEnvironment env(tw.dataset, tw.split.train, &model, config);
   env.Reset(tw.cold_target);
 
-  const auto& holders = tw.world.dataset.SourceHolders(tw.cold_target);
+  const auto& holders = tw.dataset.SourceHolders(tw.cold_target);
   util::Rng rng(testhelpers::TestSeed(3));
   std::size_t query_rounds = 0;
   while (!env.done()) {
     const data::UserId holder =
         holders[rng.UniformUint64(holders.size())];
     const auto result =
-        env.Step(tw.world.dataset.source.UserProfile(holder));
+        env.Step(tw.dataset.source.UserProfile(holder));
     if (result.queried) ++query_rounds;
   }
   // Query at every full interval plus the terminal step; steps at both a

@@ -62,10 +62,10 @@ TEST(ProxyTest, CopyAttackUsesProxyForNonSourceItem) {
   // Find a target-domain item that is NOT attackable directly (outside
   // the overlap or without source holders).
   data::ItemId orphan = data::kNoItem;
-  for (data::ItemId item = 0; item < tw.world.dataset.target.num_items();
+  for (data::ItemId item = 0; item < tw.dataset.target.num_items();
        ++item) {
-    if (tw.world.dataset.SourceHolders(item).empty() &&
-        !tw.world.dataset.target.ItemProfile(item).empty()) {
+    if (tw.dataset.SourceHolders(item).empty() &&
+        !tw.dataset.target.ItemProfile(item).empty()) {
       orphan = item;
       break;
     }
@@ -75,13 +75,13 @@ TEST(ProxyTest, CopyAttackUsesProxyForNonSourceItem) {
 
   CopyAttackConfig config;
   config.allow_proxy = true;
-  CopyAttack attack(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack attack(&tw.dataset, &tw.artifacts.tree,
                     &tw.artifacts.mf.user_embeddings(),
                     &tw.artifacts.mf.item_embeddings(), config, 1);
   attack.BeginTargetItem(orphan);
   EXPECT_NE(attack.anchor_item(), orphan);
   EXPECT_FALSE(
-      tw.world.dataset.SourceHolders(attack.anchor_item()).empty());
+      tw.dataset.SourceHolders(attack.anchor_item()).empty());
   EXPECT_FALSE(attack.candidates().empty());
 
   // A full episode must inject profiles that all contain the orphan item.
@@ -91,7 +91,7 @@ TEST(ProxyTest, CopyAttackUsesProxyForNonSourceItem) {
   env_config.num_pretend_users = 8;
   env_config.query_candidates = 40;
   env_config.seed = 5;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         env_config);
   env.Reset(orphan);
   util::Rng rng(testhelpers::TestSeed(3));
@@ -121,9 +121,9 @@ TEST(DemotionTest, RewardIsComplementOfHitRatio) {
   EnvConfig demote_config = promote_config;
   demote_config.goal = AttackGoal::kDemote;
 
-  AttackEnvironment promote_env(tw.world.dataset, tw.split.train,
+  AttackEnvironment promote_env(tw.dataset, tw.split.train,
                                 &promote_model, promote_config);
-  AttackEnvironment demote_env(tw.world.dataset, tw.split.train,
+  AttackEnvironment demote_env(tw.dataset, tw.split.train,
                                &demote_model, demote_config);
   promote_env.Reset(tw.cold_target);
   demote_env.Reset(tw.cold_target);
@@ -144,8 +144,8 @@ TEST(DemotionTest, DemotingAPopularItemIsObservable) {
   data::ItemId popular = data::kNoItem;
   for (const data::ItemId item :
        tw.split.train.ItemsByPopularity()) {
-    if (tw.world.dataset.overlap[item] &&
-        !tw.world.dataset.SourceHolders(item).empty()) {
+    if (tw.dataset.overlap[item] &&
+        !tw.dataset.SourceHolders(item).empty()) {
       popular = item;
       break;
     }
@@ -159,7 +159,7 @@ TEST(DemotionTest, DemotingAPopularItemIsObservable) {
   config.num_pretend_users = 10;
   config.query_candidates = 40;
   config.seed = 13;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model, config);
+  AttackEnvironment env(tw.dataset, tw.split.train, &model, config);
   env.Reset(popular);
 
   const double hr_before = env.RawHitRatio();
@@ -168,10 +168,10 @@ TEST(DemotionTest, DemotingAPopularItemIsObservable) {
   util::Rng rng(testhelpers::TestSeed(17));
   while (!env.done()) {
     const data::UserId u = static_cast<data::UserId>(
-        rng.UniformUint64(tw.world.dataset.source.num_users()));
-    data::Profile profile = tw.world.dataset.source.UserProfile(u);
+        rng.UniformUint64(tw.dataset.source.num_users()));
+    data::Profile profile = tw.dataset.source.UserProfile(u);
     if (profile.empty()) continue;
-    if (!tw.world.dataset.source.HasInteraction(u, popular)) {
+    if (!tw.dataset.source.HasInteraction(u, popular)) {
       profile.push_back(popular);  // interact, to enter its neighborhood
     }
     env.Step(std::move(profile));

@@ -34,10 +34,10 @@ EnvConfig RollbackEnvConfig() {
 /// The fixed injection sequence of one episode for `target`.
 std::vector<data::Profile> EpisodeProfiles(data::ItemId target) {
   const auto& tw = SharedTinyWorld();
-  const auto& holders = tw.world.dataset.SourceHolders(target);
+  const auto& holders = tw.dataset.SourceHolders(target);
   std::vector<data::Profile> profiles;
   for (std::size_t i = 0; i < 6 && i < holders.size(); ++i) {
-    profiles.push_back(tw.world.dataset.source.UserProfile(holders[i % holders.size()]));
+    profiles.push_back(tw.dataset.source.UserProfile(holders[i % holders.size()]));
   }
   while (profiles.size() < 6) {
     profiles.push_back(profiles.empty() ? data::Profile{0, 1, 2}
@@ -94,13 +94,13 @@ void CheckRollbackEquivalence(const Model& prototype, std::size_t episodes) {
   const data::ItemId target = tw.cold_target;
 
   Model reused_model = prototype;
-  AttackEnvironment reused_env(tw.world.dataset, tw.split.train,
+  AttackEnvironment reused_env(tw.dataset, tw.split.train,
                                &reused_model, RollbackEnvConfig());
   for (std::size_t episode = 0; episode < episodes; ++episode) {
     const EpisodeTrace reused = PlayEpisode(reused_env, target);
 
     Model fresh_model = prototype;
-    AttackEnvironment fresh_env(tw.world.dataset, tw.split.train,
+    AttackEnvironment fresh_env(tw.dataset, tw.split.train,
                                 &fresh_model, RollbackEnvConfig());
     const EpisodeTrace fresh = PlayEpisode(fresh_env, target);
     ExpectIdentical(reused, fresh);
@@ -133,11 +133,11 @@ TEST(RollbackEquivalenceTest, TargetSwitchRebuildsAndStaysConsistent) {
   // fast path on repeats; both must keep matching fresh environments.
   const auto& tw = SharedTinyWorld();
   util::Rng rng(testhelpers::TestSeed(17));
-  const auto targets = data::SampleColdTargetItems(tw.world.dataset, 2, 10, rng);
+  const auto targets = data::SampleColdTargetItems(tw.dataset, 2, 10, rng);
   ASSERT_GE(targets.size(), 2U);
 
   rec::PinSageLite reused_model = tw.model;
-  AttackEnvironment reused_env(tw.world.dataset, tw.split.train,
+  AttackEnvironment reused_env(tw.dataset, tw.split.train,
                                &reused_model, RollbackEnvConfig());
   const data::ItemId sequence[] = {targets[0], targets[0], targets[1],
                                    targets[0], targets[1], targets[1]};
@@ -145,7 +145,7 @@ TEST(RollbackEquivalenceTest, TargetSwitchRebuildsAndStaysConsistent) {
     const EpisodeTrace reused = PlayEpisode(reused_env, target);
 
     rec::PinSageLite fresh_model = tw.model;
-    AttackEnvironment fresh_env(tw.world.dataset, tw.split.train,
+    AttackEnvironment fresh_env(tw.dataset, tw.split.train,
                                 &fresh_model, RollbackEnvConfig());
     const EpisodeTrace fresh = PlayEpisode(fresh_env, target);
     ExpectIdentical(reused, fresh);
@@ -168,7 +168,7 @@ TEST(RollbackEquivalenceTest, RefitOnQueryFallsBackToRebuild) {
   EnvConfig config = RollbackEnvConfig();
   config.refit_on_query = true;
   config.refit_epochs = 1;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model, config);
+  AttackEnvironment env(tw.dataset, tw.split.train, &model, config);
   for (int episode = 0; episode < 3; ++episode) {
     PlayEpisode(env, tw.cold_target);
   }

@@ -35,9 +35,9 @@ CopyAttackConfig SmallAgentConfig() {
 TEST(RandomAttackTest, InjectsFullBudget) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  RandomAttack attack(tw.world.dataset);
+  RandomAttack attack(tw.dataset);
   attack.BeginTargetItem(tw.cold_target);
   env.Reset(tw.cold_target);
   util::Rng rng(testhelpers::TestSeed(3));
@@ -51,9 +51,9 @@ TEST(RandomAttackTest, InjectsFullBudget) {
 TEST(TargetAttackTest, OnlyCopiesHolders) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  TargetAttack attack(tw.world.dataset, 1.0);
+  TargetAttack attack(tw.dataset, 1.0);
   attack.BeginTargetItem(tw.cold_target);
   env.Reset(tw.cold_target);
   util::Rng rng(testhelpers::TestSeed(3));
@@ -75,12 +75,12 @@ TEST(TargetAttackTest, CraftingShortensProfiles) {
   rec::PinSageLite model_40 = tw.model;
   rec::PinSageLite model_100 = tw.model;
 
-  AttackEnvironment env_40(tw.world.dataset, tw.split.train, &model_40,
+  AttackEnvironment env_40(tw.dataset, tw.split.train, &model_40,
                            SmallEnvConfig());
-  AttackEnvironment env_100(tw.world.dataset, tw.split.train, &model_100,
+  AttackEnvironment env_100(tw.dataset, tw.split.train, &model_100,
                             SmallEnvConfig());
-  TargetAttack attack_40(tw.world.dataset, 0.4);
-  TargetAttack attack_100(tw.world.dataset, 1.0);
+  TargetAttack attack_40(tw.dataset, 0.4);
+  TargetAttack attack_100(tw.dataset, 1.0);
   attack_40.BeginTargetItem(tw.cold_target);
   attack_100.BeginTargetItem(tw.cold_target);
   env_40.Reset(tw.cold_target);
@@ -101,28 +101,28 @@ TEST(TargetAttackTest, CraftingShortensProfiles) {
 
 TEST(TargetAttackTest, NameReflectsKeepFraction) {
   const auto& tw = SharedTinyWorld();
-  EXPECT_EQ(TargetAttack(tw.world.dataset, 0.4).name(), "TargetAttack40");
-  EXPECT_EQ(TargetAttack(tw.world.dataset, 0.7).name(), "TargetAttack70");
-  EXPECT_EQ(TargetAttack(tw.world.dataset, 1.0).name(), "TargetAttack100");
+  EXPECT_EQ(TargetAttack(tw.dataset, 0.4).name(), "TargetAttack40");
+  EXPECT_EQ(TargetAttack(tw.dataset, 0.7).name(), "TargetAttack70");
+  EXPECT_EQ(TargetAttack(tw.dataset, 1.0).name(), "TargetAttack100");
 }
 
 TEST(CopyAttackTest, NamesReflectAblations) {
   const auto& tw = SharedTinyWorld();
   CopyAttackConfig config;
-  CopyAttack full(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack full(&tw.dataset, &tw.artifacts.tree,
                   &tw.artifacts.mf.user_embeddings(),
                   &tw.artifacts.mf.item_embeddings(), config, 1);
   EXPECT_EQ(full.name(), "CopyAttack");
 
   config.use_masking = false;
-  CopyAttack no_mask(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack no_mask(&tw.dataset, &tw.artifacts.tree,
                      &tw.artifacts.mf.user_embeddings(),
                      &tw.artifacts.mf.item_embeddings(), config, 1);
   EXPECT_EQ(no_mask.name(), "CopyAttack-Masking");
 
   config.use_masking = true;
   config.use_crafting = false;
-  CopyAttack no_craft(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack no_craft(&tw.dataset, &tw.artifacts.tree,
                       &tw.artifacts.mf.user_embeddings(),
                       &tw.artifacts.mf.item_embeddings(), config, 1);
   EXPECT_EQ(no_craft.name(), "CopyAttack-Length");
@@ -131,9 +131,9 @@ TEST(CopyAttackTest, NamesReflectAblations) {
 TEST(CopyAttackTest, EpisodeRunsAndInjects) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  CopyAttack attack(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack attack(&tw.dataset, &tw.artifacts.tree,
                     &tw.artifacts.mf.user_embeddings(),
                     &tw.artifacts.mf.item_embeddings(), SmallAgentConfig(),
                     1);
@@ -149,16 +149,16 @@ TEST(CopyAttackTest, EpisodeRunsAndInjects) {
 TEST(CopyAttackTest, MaskedAgentOnlyInjectsHolderProfiles) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  CopyAttack attack(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack attack(&tw.dataset, &tw.artifacts.tree,
                     &tw.artifacts.mf.user_embeddings(),
                     &tw.artifacts.mf.item_embeddings(), SmallAgentConfig(),
                     1);
   attack.BeginTargetItem(tw.cold_target);
 
   // Candidates must be exactly the source holders of the target item.
-  const auto& holders = tw.world.dataset.SourceHolders(tw.cold_target);
+  const auto& holders = tw.dataset.SourceHolders(tw.cold_target);
   EXPECT_EQ(attack.candidates().size(), holders.size());
 
   env.Reset(tw.cold_target);
@@ -181,9 +181,9 @@ TEST(CopyAttackTest, ExcludeSelectedNeverRepeatsUsers) {
   rec::PinSageLite model = tw.model;
   EnvConfig env_config = SmallEnvConfig();
   env_config.budget = 30;  // larger than the holder pool of a cold item
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         env_config);
-  CopyAttack attack(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack attack(&tw.dataset, &tw.artifacts.tree,
                     &tw.artifacts.mf.user_embeddings(),
                     &tw.artifacts.mf.item_embeddings(), SmallAgentConfig(),
                     1);
@@ -193,7 +193,7 @@ TEST(CopyAttackTest, ExcludeSelectedNeverRepeatsUsers) {
   attack.RunEpisode(env, rng);
   // With exclusion, the number of injections can't exceed the holders.
   EXPECT_LE(env.black_box().injected_profiles(),
-            tw.world.dataset.SourceHolders(tw.cold_target).size());
+            tw.dataset.SourceHolders(tw.cold_target).size());
 }
 
 TEST(CopyAttackTest, LearningImprovesPretendReward) {
@@ -209,9 +209,9 @@ TEST(CopyAttackTest, LearningImprovesPretendReward) {
   rec::PinSageLite model = tw.model;
   EnvConfig env_config = SmallEnvConfig();
   env_config.budget = 6;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         env_config);
-  CopyAttack attack(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack attack(&tw.dataset, &tw.artifacts.tree,
                     &tw.artifacts.mf.user_embeddings(),
                     &tw.artifacts.mf.item_embeddings(), SmallAgentConfig(),
                     1);
@@ -231,9 +231,9 @@ TEST(CopyAttackTest, LearningImprovesPretendReward) {
 TEST(FlatPolicyTest, EpisodeRunsAndRespectsHolders) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  FlatPolicyNetwork attack(&tw.world.dataset,
+  FlatPolicyNetwork attack(&tw.dataset,
                            &tw.artifacts.mf.user_embeddings(),
                            &tw.artifacts.mf.item_embeddings(),
                            FlatPolicyNetwork::Config{}, 1);
@@ -255,13 +255,13 @@ TEST(FlatPolicyTest, EpisodeRunsAndRespectsHolders) {
 
 TEST(FlatPolicyTest, DecisionCostScalesWithUsers) {
   const auto& tw = SharedTinyWorld();
-  FlatPolicyNetwork attack(&tw.world.dataset,
+  FlatPolicyNetwork attack(&tw.dataset,
                            &tw.artifacts.mf.user_embeddings(),
                            &tw.artifacts.mf.item_embeddings(),
                            FlatPolicyNetwork::Config{}, 1);
   // Cost must be at least hidden * n_users.
   EXPECT_GE(attack.DecisionCost(),
-            16U * tw.world.dataset.source.num_users());
+            16U * tw.dataset.source.num_users());
 }
 
 }  // namespace
@@ -273,9 +273,9 @@ namespace {
 TEST(CopyAttackTest, EvalModeFreezesBehavior) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  CopyAttack attack(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack attack(&tw.dataset, &tw.artifacts.tree,
                     &tw.artifacts.mf.user_embeddings(),
                     &tw.artifacts.mf.item_embeddings(), SmallAgentConfig(),
                     1);
@@ -307,11 +307,11 @@ TEST(CopyAttackTest, EvalModeFreezesBehavior) {
 TEST(CopyAttackTest, PlainHitRatioRewardModeRuns) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   CopyAttackConfig config = SmallAgentConfig();
   config.reward_shaping = RewardShaping::kHitRatio;
-  CopyAttack attack(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack attack(&tw.dataset, &tw.artifacts.tree,
                     &tw.artifacts.mf.user_embeddings(),
                     &tw.artifacts.mf.item_embeddings(), config, 1);
   attack.BeginTargetItem(tw.cold_target);
@@ -327,9 +327,9 @@ TEST(CopyAttackTest, PlainHitRatioRewardModeRuns) {
 TEST(FlatPolicyTest, EvalModeRuns) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  FlatPolicyNetwork attack(&tw.world.dataset,
+  FlatPolicyNetwork attack(&tw.dataset,
                            &tw.artifacts.mf.user_embeddings(),
                            &tw.artifacts.mf.item_embeddings(),
                            FlatPolicyNetwork::Config{}, 1);
@@ -350,7 +350,7 @@ namespace {
 
 TEST(CopyAttackTest, CheckpointRoundTripPreservesBehavior) {
   const auto& tw = SharedTinyWorld();
-  CopyAttack original(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack original(&tw.dataset, &tw.artifacts.tree,
                       &tw.artifacts.mf.user_embeddings(),
                       &tw.artifacts.mf.item_embeddings(),
                       SmallAgentConfig(), 1);
@@ -359,7 +359,7 @@ TEST(CopyAttackTest, CheckpointRoundTripPreservesBehavior) {
   // Train it a little so the parameters differ from the fresh init.
   {
     rec::PinSageLite model = tw.model;
-    AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+    AttackEnvironment env(tw.dataset, tw.split.train, &model,
                           SmallEnvConfig());
     util::Rng rng(testhelpers::TestSeed(3));
     for (int e = 0; e < 2; ++e) {
@@ -373,7 +373,7 @@ TEST(CopyAttackTest, CheckpointRoundTripPreservesBehavior) {
 
   // A fresh agent with a DIFFERENT init seed must behave identically
   // after loading the checkpoint (greedy actions match).
-  CopyAttack restored(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack restored(&tw.dataset, &tw.artifacts.tree,
                       &tw.artifacts.mf.user_embeddings(),
                       &tw.artifacts.mf.item_embeddings(),
                       SmallAgentConfig(), 999);
@@ -384,9 +384,9 @@ TEST(CopyAttackTest, CheckpointRoundTripPreservesBehavior) {
   restored.SetEvalMode(true);
   rec::PinSageLite model_a = tw.model;
   rec::PinSageLite model_b = tw.model;
-  AttackEnvironment env_a(tw.world.dataset, tw.split.train, &model_a,
+  AttackEnvironment env_a(tw.dataset, tw.split.train, &model_a,
                           SmallEnvConfig());
-  AttackEnvironment env_b(tw.world.dataset, tw.split.train, &model_b,
+  AttackEnvironment env_b(tw.dataset, tw.split.train, &model_b,
                           SmallEnvConfig());
   env_a.Reset(tw.cold_target);
   env_b.Reset(tw.cold_target);
@@ -400,11 +400,11 @@ TEST(CopyAttackTest, CheckpointRoundTripPreservesBehavior) {
 TEST(CopyAttackTest, GruEncoderAgentRuns) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  AttackEnvironment env(tw.dataset, tw.split.train, &model,
                         SmallEnvConfig());
   CopyAttackConfig config = SmallAgentConfig();
   config.selection.encoder = SequenceEncoderType::kGru;
-  CopyAttack attack(&tw.world.dataset, &tw.artifacts.tree,
+  CopyAttack attack(&tw.dataset, &tw.artifacts.tree,
                     &tw.artifacts.mf.user_embeddings(),
                     &tw.artifacts.mf.item_embeddings(), config, 1);
   attack.BeginTargetItem(tw.cold_target);
@@ -425,18 +425,18 @@ TEST(EnvironmentTest, NdcgRewardIsAtMostHitRatio) {
   EnvConfig ndcg_config = SmallEnvConfig();
   ndcg_config.reward_metric = RewardMetric::kNdcg;
 
-  AttackEnvironment hr_env(tw.world.dataset, tw.split.train, &model_h,
+  AttackEnvironment hr_env(tw.dataset, tw.split.train, &model_h,
                            hr_config);
-  AttackEnvironment ndcg_env(tw.world.dataset, tw.split.train, &model_n,
+  AttackEnvironment ndcg_env(tw.dataset, tw.split.train, &model_n,
                              ndcg_config);
   hr_env.Reset(tw.cold_target);
   ndcg_env.Reset(tw.cold_target);
 
   // Inject the same holders into both, then compare raw measures.
-  const auto& holders = tw.world.dataset.SourceHolders(tw.cold_target);
+  const auto& holders = tw.dataset.SourceHolders(tw.cold_target);
   for (std::size_t i = 0; i < 3 && i < holders.size(); ++i) {
-    hr_env.Step(tw.world.dataset.source.UserProfile(holders[i]));
-    ndcg_env.Step(tw.world.dataset.source.UserProfile(holders[i]));
+    hr_env.Step(tw.dataset.source.UserProfile(holders[i]));
+    ndcg_env.Step(tw.dataset.source.UserProfile(holders[i]));
   }
   const double hr = hr_env.RawHitRatio();
   const double ndcg = ndcg_env.RawHitRatio();

@@ -23,9 +23,9 @@ class DefenseFixture : public ::testing::Test {
   DefenseFixture() {
     const auto& tw = SharedTinyWorld();
     util::Rng rng(testhelpers::TestSeed(3));
-    mf_.Fit(tw.world.dataset.target, 10, rng);
+    mf_.Fit(tw.dataset.target, 10, rng);
     extractor_ = std::make_unique<ProfileFeatureExtractor>(
-        &tw.world.dataset.target, &mf_.item_embeddings());
+        &tw.dataset.target, &mf_.item_embeddings());
   }
 
   std::vector<ProfileFeatures> RealFeatures(std::size_t count) {
@@ -34,9 +34,9 @@ class DefenseFixture : public ::testing::Test {
     std::vector<ProfileFeatures> features;
     for (std::size_t i = 0; i < count; ++i) {
       const data::UserId u = static_cast<data::UserId>(
-          rng.UniformUint64(tw.world.dataset.target.num_users()));
+          rng.UniformUint64(tw.dataset.target.num_users()));
       features.push_back(extractor_->Extract(
-          tw.world.dataset.target.UserProfile(u), rng));
+          tw.dataset.target.UserProfile(u), rng));
     }
     return features;
   }
@@ -50,7 +50,7 @@ class DefenseFixture : public ::testing::Test {
       data::Profile fake = {tw.cold_target};
       while (fake.size() < 15) {
         const data::ItemId item = static_cast<data::ItemId>(
-            rng.UniformUint64(tw.world.dataset.target.num_items()));
+            rng.UniformUint64(tw.dataset.target.num_items()));
         bool dup = false;
         for (const data::ItemId existing : fake) {
           dup = dup || existing == item;
@@ -67,12 +67,12 @@ class DefenseFixture : public ::testing::Test {
     const auto& tw = SharedTinyWorld();
     util::Rng rng(testhelpers::TestSeed(9));
     std::vector<ProfileFeatures> features;
-    for (const data::ItemId item : tw.world.dataset.OverlapItems()) {
-      for (const data::UserId holder : tw.world.dataset.SourceHolders(item)) {
+    for (const data::ItemId item : tw.dataset.OverlapItems()) {
+      for (const data::UserId holder : tw.dataset.SourceHolders(item)) {
         if (features.size() >= 80) return features;
         features.push_back(extractor_->Extract(
             core::ClipProfileAroundTarget(
-                tw.world.dataset.source.UserProfile(holder), item, 0.5),
+                tw.dataset.source.UserProfile(holder), item, 0.5),
             rng));
       }
     }

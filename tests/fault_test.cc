@@ -406,7 +406,7 @@ TEST(EnvironmentFaultTest, QueryRewardFallsBackToProxyWhileOracleDown) {
   config.fault.query_transient_rate = 1.0;
   config.resilience.enabled = true;
   config.resilience.retry.max_attempts = 2;
-  core::AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  core::AttackEnvironment env(tw.dataset, tw.split.train, &model,
                               config);
   env.Reset(tw.cold_target);
   std::size_t rounds = 0;
@@ -425,7 +425,7 @@ TEST(EnvironmentFaultTest, QueryRewardFallsBackToProxyWhileOracleDown) {
 TEST(EnvironmentFaultTest, FaultStackAbsentWhenDisabled) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model(tw.model);
-  core::AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+  core::AttackEnvironment env(tw.dataset, tw.split.train, &model,
                               FaultyEnvConfig());
   env.Reset(tw.cold_target);
   EXPECT_EQ(env.fault_injector(), nullptr);
@@ -447,12 +447,12 @@ TEST(EnvironmentFaultTest, CampaignUnderFaultsIsDeterministic) {
   campaign.seed = 5;
   util::Rng target_rng(testhelpers::TestSeed(73));
   const auto targets =
-      data::SampleColdTargetItems(tw.world.dataset, 2, 10, target_rng);
+      data::SampleColdTargetItems(tw.dataset, 2, 10, target_rng);
   const core::StrategyFactory factory = [&](std::uint64_t) {
-    return std::make_unique<core::TargetAttack>(tw.world.dataset, 0.7);
+    return std::make_unique<core::TargetAttack>(tw.dataset, 0.7);
   };
   const core::ParallelCampaignRunner runner(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(), factory,
+      tw.dataset, tw.split.train, tw.ModelFactory(), factory,
       core::ParallelRunnerOptions{});
   const auto a = runner.Run(targets, campaign).aggregate;
   const auto b = runner.Run(targets, campaign).aggregate;

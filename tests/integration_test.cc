@@ -34,7 +34,7 @@ CampaignResult RunJobs(const StrategyFactory& factory,
   const auto& tw = SharedTinyWorld();
   ParallelRunnerOptions options;
   options.jobs = jobs;
-  return ParallelCampaignRunner(tw.world.dataset, tw.split.train,
+  return ParallelCampaignRunner(tw.dataset, tw.split.train,
                                 tw.ModelFactory(), factory, options)
       .Run(targets, config)
       .aggregate;
@@ -43,13 +43,13 @@ CampaignResult RunJobs(const StrategyFactory& factory,
 std::vector<data::ItemId> SmallTargets() {
   const auto& tw = SharedTinyWorld();
   util::Rng rng(testhelpers::TestSeed(71));
-  return data::SampleColdTargetItems(tw.world.dataset, 4, 10, rng);
+  return data::SampleColdTargetItems(tw.dataset, 4, 10, rng);
 }
 
 TEST(IntegrationTest, WithoutAttackBaselineRow) {
   const auto& tw = SharedTinyWorld();
   const auto result = EvaluateWithoutAttack(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(), SmallTargets(),
+      tw.dataset, tw.split.train, tw.ModelFactory(), SmallTargets(),
       SmallCampaign(), 2);
   EXPECT_EQ(result.method, "WithoutAttack");
   EXPECT_EQ(result.num_target_items, 4U);
@@ -63,7 +63,7 @@ TEST(IntegrationTest, RandomAttackCampaign) {
   const auto& tw = SharedTinyWorld();
   const auto result = RunJobs(
       [&](std::uint64_t) {
-        return std::make_unique<RandomAttack>(tw.world.dataset);
+        return std::make_unique<RandomAttack>(tw.dataset);
       },
       SmallTargets(), SmallCampaign());
   EXPECT_EQ(result.method, "RandomAttack");
@@ -83,7 +83,7 @@ TEST(IntegrationTest, CopyAttackBeatsWithoutAttack) {
   const auto config = SmallCampaign();
 
   const auto clean =
-      EvaluateWithoutAttack(tw.world.dataset, tw.split.train,
+      EvaluateWithoutAttack(tw.dataset, tw.split.train,
                             tw.ModelFactory(), targets, config, 2);
 
   CopyAttackConfig agent_config;
@@ -91,7 +91,7 @@ TEST(IntegrationTest, CopyAttackBeatsWithoutAttack) {
   const auto attacked = RunJobs(
       [&](std::uint64_t seed) {
         return std::make_unique<CopyAttack>(
-            &tw.world.dataset, &tw.artifacts.tree,
+            &tw.dataset, &tw.artifacts.tree,
             &tw.artifacts.mf.user_embeddings(),
             &tw.artifacts.mf.item_embeddings(), agent_config, seed);
       },
@@ -119,12 +119,12 @@ TEST(IntegrationTest, TargetAttackBeatsRandomAttack) {
 
   const auto random = RunJobs(
       [&](std::uint64_t) {
-        return std::make_unique<RandomAttack>(tw.world.dataset);
+        return std::make_unique<RandomAttack>(tw.dataset);
       },
       targets, config);
   const auto targeted = RunJobs(
       [&](std::uint64_t) {
-        return std::make_unique<TargetAttack>(tw.world.dataset, 0.7);
+        return std::make_unique<TargetAttack>(tw.dataset, 0.7);
       },
       targets, config);
 
@@ -138,7 +138,7 @@ TEST(IntegrationTest, CampaignDeterministicAcrossRuns) {
   const CampaignConfig config = SmallCampaign();
 
   auto factory = [&](std::uint64_t) {
-    return std::make_unique<TargetAttack>(tw.world.dataset, 0.4);
+    return std::make_unique<TargetAttack>(tw.dataset, 0.4);
   };
   const auto a = RunJobs(factory, targets, config);
   const auto b = RunJobs(factory, targets, config);
@@ -151,7 +151,7 @@ TEST(IntegrationTest, ThreadedEqualsSequential) {
   const auto& tw = SharedTinyWorld();
   const auto targets = SmallTargets();
   auto factory = [&](std::uint64_t) {
-    return std::make_unique<TargetAttack>(tw.world.dataset, 0.7);
+    return std::make_unique<TargetAttack>(tw.dataset, 0.7);
   };
   const auto a = RunJobs(factory, targets, SmallCampaign(), 1);
   const auto b = RunJobs(factory, targets, SmallCampaign(), 4);
@@ -161,7 +161,7 @@ TEST(IntegrationTest, ThreadedEqualsSequential) {
 TEST(IntegrationTest, FormatRowContainsMethodName) {
   const auto& tw = SharedTinyWorld();
   const auto result = EvaluateWithoutAttack(
-      tw.world.dataset, tw.split.train, tw.ModelFactory(), SmallTargets(),
+      tw.dataset, tw.split.train, tw.ModelFactory(), SmallTargets(),
       SmallCampaign(), 2);
   const std::string row = FormatCampaignRow(result);
   EXPECT_NE(row.find("WithoutAttack"), std::string::npos);
@@ -171,9 +171,9 @@ TEST(IntegrationTest, FormatRowContainsMethodName) {
 TEST(IntegrationTest, SourceArtifactsShapes) {
   const auto& tw = SharedTinyWorld();
   EXPECT_EQ(tw.artifacts.mf.user_embeddings().rows(),
-            tw.world.dataset.source.num_users());
+            tw.dataset.source.num_users());
   EXPECT_EQ(tw.artifacts.tree.num_leaves(),
-            tw.world.dataset.source.num_users());
+            tw.dataset.source.num_users());
   EXPECT_LE(tw.artifacts.tree.depth(), 3U);
 }
 
@@ -194,8 +194,8 @@ TEST(IntegrationTest, RefitOnQueryEnvironmentWorks) {
   config.refit_epochs = 1;
   config.seed = 5;
 
-  AttackEnvironment env(tw.world.dataset, tw.split.train, &mf, config);
-  TargetAttack attack(tw.world.dataset, 0.7);
+  AttackEnvironment env(tw.dataset, tw.split.train, &mf, config);
+  TargetAttack attack(tw.dataset, 0.7);
   attack.BeginTargetItem(tw.cold_target);
   env.Reset(tw.cold_target);
   util::Rng episode_rng(testhelpers::TestSeed(3));

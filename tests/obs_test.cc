@@ -1,8 +1,9 @@
 // Unit tests for the observability subsystem (src/obs): sharded counters
 // and histograms (including exact sums under concurrent ParallelFor
 // increments), interpolated percentile math against a known uniform
-// distribution, trace-span recording/ring semantics, and bit-exact
-// round-trips through the CSV and JSON exporters.
+// distribution, trace-span recording/ring semantics, the setup-stage
+// spans of core::BuildAttackWorld, and bit-exact round-trips through the
+// CSV and JSON exporters.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,10 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/world.h"
+#include "data/synthetic.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "test_helpers.h"
 #include "util/thread_pool.h"
 
 namespace copyattack {
@@ -189,6 +193,27 @@ TEST_F(ObsTest, SpansRecordNameDepthAndNesting) {
   EXPECT_EQ(inner_event->depth, 2U);
   EXPECT_GE(inner_event->start_ns, outer_event->start_ns);
   EXPECT_GE(outer_event->duration_ns, inner_event->duration_ns);
+}
+
+TEST_F(ObsTest, BuildAttackWorldSpansEachSetupStageOnce) {
+  obs::TraceRecorder::Global().Clear();
+  obs::SetEnabled(true);
+  core::BuildAttackWorld(
+      data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny()).dataset,
+      testhelpers::TinyWorldOptions());
+  obs::SetEnabled(false);
+
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceRecorder::Global().Collect();
+  for (const std::string stage :
+       {"world.split", "world.train_target", "world.source_artifacts"}) {
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [&](const obs::TraceEvent& event) {
+                              return stage == event.name;
+                            }),
+              1)
+        << stage;
+  }
 }
 
 TEST_F(ObsTest, DisabledSpansRecordNothing) {

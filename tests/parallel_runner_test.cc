@@ -39,13 +39,13 @@ std::string FreshDir(const std::string& name) {
 std::vector<data::ItemId> TestTargets(const TinyWorld& world,
                                       std::size_t count) {
   util::Rng rng(testhelpers::TestSeed(53));
-  return data::SampleColdTargetItems(world.world.dataset, count, 10, rng);
+  return data::SampleColdTargetItems(world.dataset, count, 10, rng);
 }
 
 StrategyFactory CopyAttackFactory(const TinyWorld& world) {
   return [&world](std::uint64_t seed) {
     return std::make_unique<CopyAttack>(
-        &world.world.dataset, &world.artifacts.tree,
+        &world.dataset, &world.artifacts.tree,
         &world.artifacts.mf.user_embeddings(),
         &world.artifacts.mf.item_embeddings(), CopyAttackConfig{}, seed);
   };
@@ -98,7 +98,7 @@ ParallelCampaignResult RunShardedWith(
     const TinyWorld& world, const StrategyFactory& factory,
     const std::vector<data::ItemId>& targets, const CampaignConfig& config,
     const ParallelRunnerOptions& options) {
-  const ParallelCampaignRunner runner(world.world.dataset,
+  const ParallelCampaignRunner runner(world.dataset,
                                       world.split.train,
                                       world.ModelFactory(), factory,
                                       options);
@@ -118,7 +118,7 @@ ParallelCampaignResult RunSharded(const TinyWorld& world,
 StrategyFactory ZooFactory(const TinyWorld& world,
                            const std::string& method) {
   const serve::StrategySpec spec = serve::MakeStrategyFactory(
-      world.world.dataset, world.artifacts, method);
+      world.dataset, world.artifacts, method);
   EXPECT_TRUE(spec.factory) << spec.error;
   return spec.factory;
 }
@@ -133,7 +133,7 @@ TEST(ParallelRunner, JobsOneBitIdenticalToSequentialRunner) {
   std::vector<TargetOutcomeState> outcomes;
   CampaignResult sequential;
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    outcomes.push_back(PlayTargetItem(world.world.dataset,
+    outcomes.push_back(PlayTargetItem(world.dataset,
                                       world.split.train,
                                       world.ModelFactory(),
                                       CopyAttackFactory(world), targets[i],
@@ -455,7 +455,7 @@ TEST(ParallelRunner, RejectsZeroJobs) {
   EXPECT_DEATH(
       {
         const ParallelCampaignRunner runner(
-            world.world.dataset, world.split.train, world.ModelFactory(),
+            world.dataset, world.split.train, world.ModelFactory(),
             CopyAttackFactory(world), options);
       },
       "jobs");

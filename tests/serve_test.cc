@@ -174,7 +174,7 @@ TEST(MakeStrategyFactoryTest, ResolvesEveryKnownMethod) {
   };
   for (const auto& test_case : cases) {
     const StrategySpec spec = MakeStrategyFactory(
-        world.world.dataset, world.artifacts, test_case.method);
+        world.dataset, world.artifacts, test_case.method);
     ASSERT_TRUE(static_cast<bool>(spec.factory)) << test_case.method;
     EXPECT_EQ(spec.learns, test_case.learns) << test_case.method;
     const auto strategy = spec.factory(1);
@@ -182,7 +182,7 @@ TEST(MakeStrategyFactoryTest, ResolvesEveryKnownMethod) {
     EXPECT_EQ(strategy->name(), test_case.method);
   }
   EXPECT_FALSE(static_cast<bool>(
-      MakeStrategyFactory(world.world.dataset, world.artifacts, "Nope")
+      MakeStrategyFactory(world.dataset, world.artifacts, "Nope")
           .factory));
 }
 
@@ -197,7 +197,7 @@ TEST(MakeStrategyFactoryTest, ResolvesSnakeCaseZooAliases) {
   };
   for (const auto& test_case : cases) {
     const StrategySpec spec = MakeStrategyFactory(
-        world.world.dataset, world.artifacts, test_case.alias);
+        world.dataset, world.artifacts, test_case.alias);
     ASSERT_TRUE(static_cast<bool>(spec.factory)) << test_case.alias;
     EXPECT_EQ(spec.factory(1)->name(), test_case.canonical);
   }
@@ -206,7 +206,7 @@ TEST(MakeStrategyFactoryTest, ResolvesSnakeCaseZooAliases) {
 TEST(MakeStrategyFactoryTest, UnknownMethodErrorListsRegisteredNames) {
   const TinyWorld& world = SharedTinyWorld();
   const StrategySpec spec =
-      MakeStrategyFactory(world.world.dataset, world.artifacts, "Nope");
+      MakeStrategyFactory(world.dataset, world.artifacts, "Nope");
   EXPECT_FALSE(static_cast<bool>(spec.factory));
   EXPECT_NE(spec.error.find("unknown --method 'Nope'"), std::string::npos)
       << spec.error;
@@ -216,7 +216,7 @@ TEST(MakeStrategyFactoryTest, UnknownMethodErrorListsRegisteredNames) {
     EXPECT_NE(spec.error.find(name), std::string::npos) << name;
   }
   // A resolvable method never carries an error.
-  EXPECT_TRUE(MakeStrategyFactory(world.world.dataset, world.artifacts,
+  EXPECT_TRUE(MakeStrategyFactory(world.dataset, world.artifacts,
                                   "CopyAttack")
                   .error.empty());
 }
@@ -240,7 +240,7 @@ PromotionJob TestJob(const std::string& id, const std::string& method) {
 
 TEST(AttackServerTest, RunsJobsAndReportsUnknownMethods) {
   const TinyWorld& world = SharedTinyWorld();
-  AttackServer server(world.world.dataset, world.split.train,
+  AttackServer server(world.dataset, world.split.train,
                       world.ModelFactory(), world.artifacts,
                       TestServerConfig());
 
@@ -266,7 +266,7 @@ TEST(AttackServerTest, JobCheckpointResumeMatchesUninterruptedJob) {
   const PromotionJob job = TestJob("resumable", "CopyAttack");
 
   // Reference: the job runs straight through without crash safety.
-  AttackServer plain(world.world.dataset, world.split.train,
+  AttackServer plain(world.dataset, world.split.train,
                      world.ModelFactory(), world.artifacts,
                      TestServerConfig());
   const JobReport reference = plain.RunJob(job);
@@ -278,7 +278,7 @@ TEST(AttackServerTest, JobCheckpointResumeMatchesUninterruptedJob) {
   ServerConfig crash_config = TestServerConfig();
   crash_config.checkpoint_root = root;
   crash_config.runner.checkpoint.abort_after_episodes = 2;
-  AttackServer crashed(world.world.dataset, world.split.train,
+  AttackServer crashed(world.dataset, world.split.train,
                        world.ModelFactory(), world.artifacts,
                        crash_config);
   const JobReport aborted = crashed.RunJob(job);
@@ -289,7 +289,7 @@ TEST(AttackServerTest, JobCheckpointResumeMatchesUninterruptedJob) {
   ServerConfig resume_config = TestServerConfig();
   resume_config.checkpoint_root = root;
   resume_config.resume = true;
-  AttackServer resumed_server(world.world.dataset, world.split.train,
+  AttackServer resumed_server(world.dataset, world.split.train,
                               world.ModelFactory(), world.artifacts,
                               resume_config);
   const JobReport resumed = resumed_server.RunJob(job);
@@ -344,7 +344,7 @@ TEST(AttackServerSupervisionTest, WedgedJobIsKilledRetriedAndQuarantined) {
   auto slept = std::make_shared<std::vector<double>>();
   config.sleep_seconds = [slept](double s) { slept->push_back(s); };
 
-  AttackServer server(world.world.dataset, world.split.train,
+  AttackServer server(world.dataset, world.split.train,
                       world.ModelFactory(), world.artifacts, config);
   // Wedged: far more episodes than the deadline allows. The quick job
   // behind it must still run — a wedged job must not stall the queue.
@@ -387,7 +387,7 @@ TEST(AttackServerSupervisionTest, WedgedJobIsKilledRetriedAndQuarantined) {
 
   // A resubmit of the quarantined job is refused before it runs: the
   // persisted attempt counter already exhausted max_attempts.
-  AttackServer fresh(world.world.dataset, world.split.train,
+  AttackServer fresh(world.dataset, world.split.train,
                      world.ModelFactory(), world.artifacts, config);
   const JobReport resubmitted = fresh.RunJob(wedged);
   EXPECT_FALSE(resubmitted.ok);
@@ -412,7 +412,7 @@ TEST(AttackServerSupervisionTest, UnlimitedAttemptsNeverQuarantine) {
     if (*ticks < 12) ++*ticks;  // wedge attempt 1, then freeze the clock
     return *ticks * 1'000'000'000;
   };
-  AttackServer server(world.world.dataset, world.split.train,
+  AttackServer server(world.dataset, world.split.train,
                       world.ModelFactory(), world.artifacts, config);
   // Enough episodes that attempt 1 cannot finish before the clock passes
   // the deadline (each episode polls the watchdog at least once).
@@ -435,7 +435,7 @@ TEST(AttackServerDrainTest, DrainBeforeServingPersistsWholeQueue) {
   const std::string root = FreshDir("attack_server_drain_idle");
   ServerConfig config = TestServerConfig();
   config.checkpoint_root = root;
-  AttackServer server(world.world.dataset, world.split.train,
+  AttackServer server(world.dataset, world.split.train,
                       world.ModelFactory(), world.artifacts, config);
   JobQueue queue;
   queue.Push(TestJob("q1", "TargetAttack40"));
@@ -471,7 +471,7 @@ TEST(AttackServerDrainTest, MidRunDrainCheckpointsAndRequeuesCutJob) {
     if (++*ticks == 4) RequestDrain();
     return *ticks;  // nanoseconds: elapsed stays ~0
   };
-  AttackServer server(world.world.dataset, world.split.train,
+  AttackServer server(world.dataset, world.split.train,
                       world.ModelFactory(), world.artifacts, config);
   PromotionJob cut = TestJob("cut-short", "CopyAttack");
   cut.num_targets = 1;

@@ -1,64 +1,42 @@
 #ifndef COPYATTACK_TESTS_TEST_HELPERS_H_
 #define COPYATTACK_TESTS_TEST_HELPERS_H_
 
-#include <memory>
-
-#include "core/runner.h"
-#include "data/split.h"
+#include "core/world.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
-#include "rec/pinsage_lite.h"
 #include "test_seed.h"
 #include "util/rng.h"
 
 namespace copyattack::testhelpers {
 
+/// The options of the tiny world the core tests share: the target model
+/// is fitted for exactly 12 epochs (patience never triggers) and the
+/// source MF trains for 8 epochs.
+inline core::WorldOptions TinyWorldOptions() {
+  core::WorldOptions options;
+  options.split_seed = TestSeed(23);
+  options.train_seed = TestSeed(29);
+  options.train.max_epochs = 12;
+  options.train.patience = 12;
+  options.artifacts.mf_epochs = 8;
+  return options;
+}
+
 /// A tiny end-to-end world shared by the core tests: synthetic cross-domain
-/// data, a train split, a fitted PinSage-style target model, and the
-/// source-domain artifacts (MF embeddings + clustering tree).
-struct TinyWorld {
-  data::SyntheticWorld world;
-  data::TrainValidTestSplit split;
-  rec::PinSageLite model;  // fitted prototype; copy per campaign
-  core::SourceArtifacts artifacts;
+/// data, a train split, a fitted PinSage-style target model, the
+/// source-domain artifacts (MF embeddings + clustering tree) and one cold
+/// target item.
+struct TinyWorld : core::AttackWorld {
   data::ItemId cold_target = data::kNoItem;
 
   TinyWorld()
-      : world(data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny())),
-        split(MakeSplit(world)),
-        model(MakeModel(split)),
-        artifacts(MakeArtifacts(world)) {
+      : core::AttackWorld(core::BuildAttackWorld(
+            data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny())
+                .dataset,
+            TinyWorldOptions())) {
     util::Rng rng(TestSeed(17));
-    const auto targets =
-        data::SampleColdTargetItems(world.dataset, 1, 10, rng);
+    const auto targets = data::SampleColdTargetItems(dataset, 1, 10, rng);
     if (!targets.empty()) cold_target = targets[0];
-  }
-
-  static data::TrainValidTestSplit MakeSplit(
-      const data::SyntheticWorld& world) {
-    util::Rng rng(TestSeed(23));
-    return data::SplitDataset(world.dataset.target, rng);
-  }
-
-  static rec::PinSageLite MakeModel(
-      const data::TrainValidTestSplit& split) {
-    rec::PinSageLite model;
-    util::Rng rng(TestSeed(29));
-    model.Fit(split.train, 12, rng);
-    return model;
-  }
-
-  static core::SourceArtifacts MakeArtifacts(
-      const data::SyntheticWorld& world) {
-    core::SourceArtifactOptions options;
-    options.mf_epochs = 8;
-    options.tree_depth = 3;
-    return core::PrepareSourceArtifacts(world.dataset, options);
-  }
-
-  /// Model factory for campaign runners (fresh serving state per clone).
-  core::ModelFactory ModelFactory() const {
-    return [this] { return std::make_unique<rec::PinSageLite>(model); };
   }
 };
 

@@ -3,13 +3,13 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "core/parallel_runner.h"
 #include "core/runner.h"
+#include "core/world.h"
 #include "data/io.h"
 #include "data/split.h"
 #include "data/stats.h"
@@ -36,8 +36,9 @@ util::FlagParser MakeParser() {
       .Define("out", "world", "generate: output path prefix")
       .Define("data", "world", "stats/train/attack: dataset path prefix")
       .Define("seed", "7", "generate/attack: RNG seed")
-      .Define("max-epochs", "40", "train: epoch cap")
-      .Define("patience", "5", "train: early-stopping patience")
+      .Define("max-epochs", "60", "train/attack/attack-server: epoch cap")
+      .Define("patience", "5",
+              "train/attack/attack-server: early-stopping patience")
       .Define("method", "CopyAttack",
               "attack: method name (CopyAttack[-Masking|-Length], "
               "PolicyNetwork, RandomAttack, TargetAttack40/70/100, "
@@ -135,22 +136,31 @@ int CmdStats(const util::FlagParser& parser, std::ostream& out) {
   return 0;
 }
 
+/// The world options `train`, `attack` and `attack-server` share: the
+/// target model trains under `--max-epochs`/`--patience`, and the source
+/// clustering tree has `--depth` levels.
+core::WorldOptions WorldOptionsFromFlags(const util::FlagParser& parser) {
+  core::WorldOptions options;
+  options.train.max_epochs = parser.GetSizeT("max-epochs");
+  options.train.patience = parser.GetSizeT("patience");
+  options.artifacts.tree_depth = parser.GetSizeT("depth");
+  return options;
+}
+
 int CmdTrain(const util::FlagParser& parser, std::ostream& out) {
   data::CrossDomainDataset dataset("", 1);
   if (!LoadOrComplain(parser, &dataset, out)) return 1;
 
-  util::Rng split_rng(11);
+  const core::WorldOptions options = WorldOptionsFromFlags(parser);
+  util::Rng split_rng(options.split_seed);
   const data::TrainValidTestSplit split =
       data::SplitDataset(dataset.target, split_rng);
 
   rec::PinSageLite model;
-  rec::TrainOptions options;
-  options.max_epochs = parser.GetSizeT("max-epochs");
-  options.patience = parser.GetSizeT("patience");
-  util::Rng train_rng(13);
+  util::Rng train_rng(options.train_seed);
   obs::Stopwatch watch;
   const rec::TrainReport report = rec::TrainWithEarlyStopping(
-      model, split, dataset.target, options, train_rng);
+      model, split, dataset.target, options.train, train_rng);
   out << "epochs:        " << report.epochs_run << '\n'
       << "valid HR@10:   " << report.best_valid_hr << '\n'
       << "test  HR@10:   " << report.test_hr << '\n'
@@ -159,41 +169,13 @@ int CmdTrain(const util::FlagParser& parser, std::ostream& out) {
   return 0;
 }
 
-/// The trained world both attack commands start from.
-struct AttackWorld {
-  data::TrainValidTestSplit split;
-  rec::PinSageLite model;
-  core::SourceArtifacts artifacts;
-};
-
-/// Splits the target domain (seed 11), trains the target model with
-/// early stopping (seed 13) and prepares the source artifacts at
-/// `--depth`. Prints the trained model's test HR@10.
-AttackWorld TrainAttackWorld(const util::FlagParser& parser,
-                             const data::CrossDomainDataset& dataset,
-                             std::ostream& out) {
-  util::Rng split_rng(11);
-  data::TrainValidTestSplit split =
-      data::SplitDataset(dataset.target, split_rng);
-  rec::PinSageLite model;
-  rec::TrainOptions train_options;
-  util::Rng train_rng(13);
-  const rec::TrainReport train_report = rec::TrainWithEarlyStopping(
-      model, split, dataset.target, train_options, train_rng);
-  out << "target model test HR@10: " << train_report.test_hr << '\n';
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = parser.GetSizeT("depth");
-  core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(dataset, artifact_options);
-  return AttackWorld{std::move(split), std::move(model),
-                     std::move(artifacts)};
-}
-
 int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
-  data::CrossDomainDataset dataset("", 1);
-  if (!LoadOrComplain(parser, &dataset, out)) return 1;
-  const AttackWorld world = TrainAttackWorld(parser, dataset, out);
+  data::CrossDomainDataset loaded("", 1);
+  if (!LoadOrComplain(parser, &loaded, out)) return 1;
+  const core::AttackWorld world = core::BuildAttackWorld(
+      std::move(loaded), WorldOptionsFromFlags(parser));
+  out << "target model test HR@10: " << world.train_report.test_hr << '\n';
+  const data::CrossDomainDataset& dataset = world.dataset;
 
   util::Rng target_rng(parser.GetSizeT("seed"));
   const auto targets = data::SampleColdTargetItems(
@@ -228,9 +210,7 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   options.checkpoint.resume = parser.GetBool("resume");
   options.checkpoint.every_episodes = parser.GetSizeT("checkpoint_every");
 
-  const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(world.model);
-  };
+  const core::ModelFactory model_factory = world.ModelFactory();
 
   const std::string method = parser.GetString("method");
   const serve::StrategySpec spec =
@@ -295,10 +275,10 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
     return 2;
   }
 
-  const AttackWorld world = TrainAttackWorld(parser, dataset, out);
-  const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(world.model);
-  };
+  const core::AttackWorld world = core::BuildAttackWorld(
+      std::move(dataset), WorldOptionsFromFlags(parser));
+  out << "target model test HR@10: " << world.train_report.test_hr << '\n';
+  const core::ModelFactory model_factory = world.ModelFactory();
 
   serve::ServerConfig server_config;
   server_config.runner.jobs = parser.GetSizeT("jobs");
@@ -318,7 +298,7 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
   for (serve::PromotionJob& job : jobs) queue.Push(std::move(job));
   queue.Close();
 
-  serve::AttackServer server(dataset, world.split.train, model_factory,
+  serve::AttackServer server(world.dataset, world.split.train, model_factory,
                              world.artifacts, server_config);
   out << "serving " << jobs.size() << " promotion jobs ("
       << server_config.runner.jobs << " worker threads)\n";

@@ -17,10 +17,12 @@ namespace copyattack::tools {
 ///
 ///   copyattack train --data PREFIX [--max-epochs N] [--patience N]
 ///       Trains the PinSage-style target model with early stopping and
-///       prints validation/test quality.
+///       prints validation/test quality. `attack` and `attack-server`
+///       train the same model from the same flags.
 ///
 ///   copyattack attack --data PREFIX --method NAME [--targets N]
 ///       [--budget N] [--episodes N] [--depth N] [--seed N] [--jobs N]
+///       [--max-epochs N] [--patience N]
 ///       [--faults off|light|aggressive] [--fault_seed N]
 ///       [--checkpoint_dir DIR] [--checkpoint_every N] [--resume 1]
 ///       Runs one attacking method over sampled cold target items and
@@ -37,7 +39,8 @@ namespace copyattack::tools {
 ///       the sequential runner).
 ///
 ///   copyattack attack-server --data PREFIX [--queue FILE|-] [--jobs N]
-///       [--depth N] [--checkpoint_root DIR] [--resume 1]
+///       [--depth N] [--max-epochs N] [--patience N]
+///       [--checkpoint_root DIR] [--resume 1]
 ///       [--checkpoint_every N]
 ///       Long-running promotion service: reads `id,method,targets,
 ///       budget,episodes,seed` job rows from the queue CSV (stdin with

@@ -34,28 +34,22 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/runner.h"
-#include "data/split.h"
+#include "core/world.h"
 #include "data/synthetic.h"
 #include "fault/crash_point.h"
-#include "rec/pinsage_lite.h"
 #include "serve/attack_server.h"
 #include "serve/job_queue.h"
-#include "util/rng.h"
 
 namespace {
 
 namespace core = copyattack::core;
 namespace data = copyattack::data;
 namespace fault = copyattack::fault;
-namespace rec = copyattack::rec;
 namespace serve = copyattack::serve;
-namespace util = copyattack::util;
 
 struct Options {
   std::size_t cycles = 20;
@@ -94,22 +88,18 @@ int ChildServe(const std::vector<serve::PromotionJob>& jobs,
                const fault::CrashScheduleConfig* schedule) {
   if (schedule != nullptr) fault::ArmCrashSchedule(*schedule);
 
-  // The identical deterministic world the unit tests use
-  // (tests/test_helpers.h): every child rebuilds it bit-for-bit, so the
-  // only cross-child state is the checkpoint tree under test.
-  const data::SyntheticWorld world =
-      data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny());
-  util::Rng split_rng(23);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng fit_rng(29);
-  model.Fit(split.train, 12, fit_rng);
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.mf_epochs = 8;
-  artifact_options.tree_depth = 3;
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
+  // The unit tests' TinyWorld (tests/test_helpers.h) at default seeds:
+  // every child rebuilds it bit-for-bit, so the only cross-child state is
+  // the checkpoint tree under test.
+  core::WorldOptions options;
+  options.split_seed = 23;
+  options.train_seed = 29;
+  options.train.max_epochs = 12;
+  options.train.patience = 12;
+  options.artifacts.mf_epochs = 8;
+  const core::AttackWorld world = core::BuildAttackWorld(
+      data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny()).dataset,
+      options);
 
   serve::ServerConfig config;
   config.runner.jobs = 1;  // serial: the crash-hit order must be total
@@ -124,10 +114,8 @@ int ChildServe(const std::vector<serve::PromotionJob>& jobs,
   for (const serve::PromotionJob& job : jobs) queue.Push(job);
   queue.Close();
 
-  serve::AttackServer server(
-      world.dataset, split.train,
-      [&model] { return std::make_unique<rec::PinSageLite>(model); },
-      artifacts, config);
+  serve::AttackServer server(world.dataset, world.split.train,
+                             world.ModelFactory(), world.artifacts, config);
   const std::vector<serve::JobReport> reports = server.Drain(&queue);
 
   std::ostringstream dump;
