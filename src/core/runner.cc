@@ -14,15 +14,21 @@ namespace copyattack::core {
 SourceArtifacts PrepareSourceArtifacts(
     const data::CrossDomainDataset& dataset,
     const SourceArtifactOptions& options) {
-  util::Rng rng(options.seed);
   rec::MfConfig mf_config;
   mf_config.embedding_dim = options.embedding_dim;
   rec::MatrixFactorization mf(mf_config);
-  mf.Fit(dataset.source, options.mf_epochs, rng);
+  {
+    OBS_SPAN("source.mf_fit");
+    util::Rng rng(options.seed);
+    mf.Fit(dataset.source, options.mf_epochs, rng);
+  }
 
-  util::Rng tree_rng(options.seed ^ 0x1234567ULL);
-  cluster::HierarchicalTree tree = cluster::HierarchicalTree::BuildWithDepth(
-      mf.user_embeddings(), options.tree_depth, tree_rng);
+  cluster::HierarchicalTree tree = [&] {
+    OBS_SPAN("source.tree_build");
+    util::Rng tree_rng(options.seed ^ 0x1234567ULL);
+    return cluster::HierarchicalTree::BuildWithDepth(
+        mf.user_embeddings(), options.tree_depth, tree_rng);
+  }();
   CA_LOG(Info) << "source artifacts: " << dataset.source.num_users()
                << " users, tree depth " << tree.depth() << ", branching "
                << tree.branching() << ", " << tree.num_internal_nodes()

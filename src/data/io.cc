@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/obs.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/string_utils.h"
@@ -150,6 +151,7 @@ bool SaveCrossDomain(const CrossDomainDataset& dataset,
 
 bool LoadCrossDomain(const std::string& path_prefix, CrossDomainDataset* out,
                      IoError* error) {
+  OBS_SPAN("data.load_cross_domain");
   CA_CHECK(out != nullptr);
   const std::string meta_path = path_prefix + ".meta.csv";
   std::vector<std::string> header;

@@ -74,6 +74,11 @@ class PinSageLite final : public Recommender {
   bool CheckpointServing() override;
   bool RollbackServing() override;
   float Score(data::UserId user, data::ItemId item) const override;
+  /// Equals `Score` per candidate, bit for bit, with the user row and its
+  /// bounds check hoisted out of the candidate loop.
+  void ScoreCandidatesInto(data::UserId user,
+                           const std::vector<data::ItemId>& candidates,
+                           float* out) const override;
   std::string name() const override { return "PinSageLite"; }
 
   /// Trained item embeddings q (exposed for diagnostics and tests).
@@ -97,6 +102,13 @@ class PinSageLite final : public Recommender {
   void ComputeUserRepresentation(const data::Dataset& current,
                                  data::UserId user, float* out) const;
 
+  /// (1 - alpha) / count^e, the neighborhood term's weight for an item
+  /// with `count` interacting users (0 when `count` is 0).
+  float NeighborWeight(std::size_t count) const;
+
+  /// score(u, item) for the user representation `p` (bounds unchecked).
+  float ScoreRepresentation(const float* p, data::ItemId item) const;
+
   PinSageConfig config_;
   math::Matrix items_;        // q: num_items x dim (trained)
   std::vector<float> item_intercept_;       // frozen at InitTraining
@@ -105,6 +117,9 @@ class PinSageLite final : public Recommender {
   math::Matrix user_reps_;    // p: num_serving_users x dim
   math::Matrix item_user_sum_;  // per item: sum of p over interacting users
   std::vector<std::size_t> item_user_count_;
+  /// `NeighborWeight(item_user_count_[item])`, kept in step with the count
+  /// so scoring needs no pow per candidate.
+  std::vector<float> neighbor_weight_;
 
   /// Serving-state checkpoint (CheckpointServing/RollbackServing): a copy
   /// of the neighborhood accumulators plus a journal of items touched by

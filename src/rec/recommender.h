@@ -73,9 +73,11 @@ class Recommender {
   /// Scores a candidate list into a caller-provided buffer of
   /// `candidates.size()` floats — the allocation-free row primitive the
   /// batched oracle uses to fill one contiguous user x item score block.
-  void ScoreCandidatesInto(data::UserId user,
-                           const std::vector<data::ItemId>& candidates,
-                           float* out) const;
+  /// The default calls `Score` per candidate; an override must return the
+  /// same values bit for bit.
+  virtual void ScoreCandidatesInto(
+      data::UserId user, const std::vector<data::ItemId>& candidates,
+      float* out) const;
 };
 
 }  // namespace copyattack::rec

@@ -31,8 +31,12 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
     report.epochs_run = epoch + 1;
 
     model.BeginServing(split.train);
-    const MetricsByK valid =
-        ScoreHeldOut(model, split.valid, valid_negatives, {options.eval_k});
+    MetricsByK valid;
+    {
+      OBS_SPAN("rec.heldout_eval");
+      valid = ScoreHeldOut(model, split.valid, valid_negatives,
+                           {options.eval_k});
+    }
     const double hr = valid.at(options.eval_k).hr;
     if (hr > report.best_valid_hr) {
       report.best_valid_hr = hr;

@@ -2,7 +2,8 @@
 // and histograms (including exact sums under concurrent ParallelFor
 // increments), interpolated percentile math against a known uniform
 // distribution, trace-span recording/ring semantics, the setup-stage
-// spans of core::BuildAttackWorld, and bit-exact round-trips through the
+// spans of core::BuildAttackWorld and of the stages inside it and the
+// cross-domain loader, and bit-exact round-trips through the
 // CSV and JSON exporters.
 
 #include <algorithm>
@@ -11,11 +12,13 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/world.h"
+#include "data/io.h"
 #include "data/synthetic.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -212,6 +215,40 @@ TEST_F(ObsTest, BuildAttackWorldSpansEachSetupStageOnce) {
                               return stage == event.name;
                             }),
               1)
+        << stage;
+  }
+}
+
+TEST_F(ObsTest, LoadAndBuildAttackWorldSpanEveryInnerStage) {
+  const std::string prefix = testing::TempDir() + "obs_span_world";
+  ASSERT_TRUE(data::SaveCrossDomain(
+      data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny()).dataset,
+      prefix));
+  obs::TraceRecorder::Global().Clear();
+  obs::SetEnabled(true);
+  data::CrossDomainDataset dataset("", 1);
+  ASSERT_TRUE(data::LoadCrossDomain(prefix, &dataset, nullptr));
+  const core::WorldOptions options = testhelpers::TinyWorldOptions();
+  const core::AttackWorld world = core::BuildAttackWorld(std::move(dataset), options);
+  obs::SetEnabled(false);
+  // TinyWorldOptions' patience equals max_epochs, so every epoch runs.
+  ASSERT_EQ(world.train_report.epochs_run, options.train.max_epochs);
+
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceRecorder::Global().Collect();
+  const std::pair<std::string, std::size_t> expected[] = {
+      {"data.load_cross_domain", 1},
+      {"rec.heldout_eval", options.train.max_epochs},
+      {"source.mf_fit", 1},
+      {"source.tree_build", 1},
+  };
+  for (const auto& [stage, count] : expected) {
+    EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                  events.begin(), events.end(),
+                  [&](const obs::TraceEvent& event) {
+                    return stage == event.name;
+                  })),
+              count)
         << stage;
   }
 }

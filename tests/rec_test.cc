@@ -1,18 +1,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.h"
 #include "test_seed.h"
 
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "math/matrix.h"
 #include "math/metrics.h"
 #include "math/top_k.h"
+#include "math/vector_ops.h"
+#include "nn/activations.h"
 #include "rec/black_box.h"
+#include "rec/bpr_sampler.h"
 #include "rec/evaluator.h"
 #include "rec/matrix_factorization.h"
 #include "rec/pinsage_lite.h"
@@ -618,6 +625,330 @@ TEST_F(RecFixture, ItemKnnScoreReflectsProfileOverlap) {
   for (data::ItemId i = 0; i < 10; ++i) {
     EXPECT_GE(knn.Score(0, i), 0.0f);
   }
+}
+
+// --- BPR epochs over DrawBprTriples vs the fused single-thread loop ---------
+
+/// A dataset of about 30k interactions (several 4096-triple ring chunks,
+/// so the ring wraps), with a user whose profile is empty (the step is
+/// skipped after the user draw) and a user who has every item (all 32
+/// negative draws fail and the step is skipped).
+data::Dataset MakeBprEpochDataset() {
+  constexpr std::size_t kItems = 64;
+  data::Dataset dataset(kItems);
+  dataset.AddUser({});
+  data::Profile everything;
+  for (data::ItemId item = 0; item < kItems; ++item) {
+    everything.push_back(item);
+  }
+  dataset.AddUser(everything);
+  util::Rng rng(testhelpers::TestSeed(31));
+  for (int u = 0; u < 1200; ++u) {
+    data::Profile profile;
+    for (const std::size_t item : rng.SampleWithoutReplacement(kItems, 25)) {
+      profile.push_back(static_cast<data::ItemId>(item));
+    }
+    dataset.AddUser(profile);
+  }
+  return dataset;
+}
+
+/// The draw of one fused BPR step as MF and PinSageLite made it before the
+/// draw/update split. Returns false when the step yields no triple.
+bool ReferenceBprDraw(const data::Dataset& train, util::Rng& rng,
+                      data::UserId* u, data::ItemId* pos, data::ItemId* neg) {
+  *u = static_cast<data::UserId>(rng.UniformUint64(train.num_users()));
+  const data::Profile& profile = train.UserProfile(*u);
+  if (profile.empty()) return false;
+  *pos = profile[rng.UniformUint64(profile.size())];
+  *neg = *pos;
+  for (std::size_t attempt = 0; attempt < 32; ++attempt) {
+    const data::ItemId candidate =
+        static_cast<data::ItemId>(rng.UniformUint64(train.num_items()));
+    if (!train.HasInteraction(*u, candidate)) {
+      *neg = candidate;
+      break;
+    }
+  }
+  return *neg != *pos;
+}
+
+/// MatrixFactorization::TrainEpoch as one fused draw-and-update loop.
+void ReferenceMfEpoch(const data::Dataset& train, const MfConfig& config,
+                      util::Rng& rng, math::Matrix& users,
+                      math::Matrix& items) {
+  const std::size_t dim = config.embedding_dim;
+  const float lr = config.learning_rate;
+  const float reg = config.regularization;
+  for (std::size_t s = 0; s < train.num_interactions(); ++s) {
+    data::UserId u = 0;
+    data::ItemId pos = 0;
+    data::ItemId neg = 0;
+    if (!ReferenceBprDraw(train, rng, &u, &pos, &neg)) continue;
+    float* pu = users.Row(u);
+    float* qi = items.Row(pos);
+    float* qj = items.Row(neg);
+    const float x = math::Dot(pu, qi, dim) - math::Dot(pu, qj, dim);
+    const float sigma = nn::Sigmoid(-x);
+    for (std::size_t d = 0; d < dim; ++d) {
+      const float pu_d = pu[d];
+      const float qi_d = qi[d];
+      const float qj_d = qj[d];
+      pu[d] += lr * (sigma * (qi_d - qj_d) - reg * pu_d);
+      qi[d] += lr * (sigma * pu_d - reg * qi_d);
+      qj[d] += lr * (-sigma * pu_d - reg * qj_d);
+    }
+  }
+}
+
+/// PinSageLite::TrainEpoch as one fused draw-and-update loop.
+void ReferencePinSageEpoch(const data::Dataset& train,
+                           const PinSageConfig& config, util::Rng& rng,
+                           math::Matrix& items) {
+  const std::size_t dim = config.embedding_dim;
+  const float lr = config.learning_rate;
+  const float reg = config.regularization;
+  std::vector<float> user_rep(dim);
+  for (std::size_t s = 0; s < train.num_interactions(); ++s) {
+    data::UserId u = 0;
+    data::ItemId pos = 0;
+    data::ItemId neg = 0;
+    if (!ReferenceBprDraw(train, rng, &u, &pos, &neg)) continue;
+    for (std::size_t d = 0; d < dim; ++d) user_rep[d] = 0.0f;
+    std::size_t contributors = 0;
+    for (const data::ItemId item : train.UserProfile(u)) {
+      if (item == pos) continue;
+      math::Axpy(1.0f, items.Row(item), user_rep.data(), dim);
+      ++contributors;
+    }
+    if (contributors == 0) continue;
+    const float inv = 1.0f / static_cast<float>(contributors);
+    for (std::size_t d = 0; d < dim; ++d) user_rep[d] *= inv;
+    float* qi = items.Row(pos);
+    float* qj = items.Row(neg);
+    const float x = math::Dot(user_rep.data(), qi, dim) -
+                    math::Dot(user_rep.data(), qj, dim);
+    const float sigma = nn::Sigmoid(-x);
+    for (std::size_t d = 0; d < dim; ++d) {
+      const float xu_d = user_rep[d];
+      qi[d] += lr * (sigma * xu_d - reg * qi[d]);
+      qj[d] += lr * (-sigma * xu_d - reg * qj[d]);
+    }
+  }
+}
+
+void ExpectBitEqual(const math::Matrix& actual, const math::Matrix& expected) {
+  ASSERT_EQ(actual.rows(), expected.rows());
+  ASSERT_EQ(actual.cols(), expected.cols());
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        actual.size() * sizeof(float)),
+            0);
+}
+
+void ExpectSameRngState(const util::Rng& actual, const util::Rng& expected) {
+  const util::RngState a = actual.SaveState();
+  const util::RngState b = expected.SaveState();
+  for (int w = 0; w < 4; ++w) EXPECT_EQ(a.words[w], b.words[w]) << w;
+  EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
+  EXPECT_EQ(std::memcmp(&a.cached_normal, &b.cached_normal, sizeof(double)),
+            0);
+}
+
+TEST(BprEpochTest, DatasetSkipsStepsOnBothPaths) {
+  const data::Dataset train = MakeBprEpochDataset();
+  ASSERT_GT(train.num_interactions(), 6U * 4096U);
+  util::Rng rng(testhelpers::TestSeed(37));
+  std::size_t steps_left = train.num_interactions();
+  std::vector<BprTriple> triples(train.num_interactions());
+  const std::size_t drawn =
+      DrawBprTriples(train, rng, &steps_left, triples.data(), triples.size());
+  EXPECT_EQ(steps_left, 0U);
+  EXPECT_LT(drawn, train.num_interactions());
+  for (std::size_t t = 0; t < drawn; ++t) {
+    EXPECT_NE(triples[t].user, 0U);  // empty profile: never a triple
+    EXPECT_NE(triples[t].user, 1U);  // every item seen: no negative
+  }
+}
+
+TEST(BprEpochTest, ChunkedDrawsEqualOneUninterruptedDraw) {
+  const data::Dataset train = MakeBprEpochDataset();
+  util::Rng whole_rng(testhelpers::TestSeed(41));
+  util::Rng chunked_rng(testhelpers::TestSeed(41));
+  std::size_t whole_left = train.num_interactions();
+  std::vector<BprTriple> whole(train.num_interactions());
+  whole.resize(DrawBprTriples(train, whole_rng, &whole_left, whole.data(),
+                              whole.size()));
+
+  std::size_t chunked_left = train.num_interactions();
+  std::vector<BprTriple> chunked;
+  BprTriple chunk[1000];
+  while (chunked_left > 0) {
+    const std::size_t count =
+        DrawBprTriples(train, chunked_rng, &chunked_left, chunk, 1000);
+    chunked.insert(chunked.end(), chunk, chunk + count);
+  }
+  ASSERT_EQ(chunked.size(), whole.size());
+  for (std::size_t t = 0; t < whole.size(); ++t) {
+    EXPECT_EQ(chunked[t].user, whole[t].user);
+    EXPECT_EQ(chunked[t].pos, whole[t].pos);
+    EXPECT_EQ(chunked[t].neg, whole[t].neg);
+  }
+  ExpectSameRngState(chunked_rng, whole_rng);
+}
+
+TEST(BprEpochTest, MfPipelinedEpochMatchesFusedLoop) {
+  const data::Dataset train = MakeBprEpochDataset();
+  const MfConfig config;
+  MatrixFactorization model(config);
+  util::Rng rng(testhelpers::TestSeed(43));
+  model.InitTraining(train, rng);
+  math::Matrix users = model.user_embeddings();
+  math::Matrix items = model.item_embeddings();
+  util::Rng reference_rng(testhelpers::TestSeed(0));
+  reference_rng.RestoreState(rng.SaveState());
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    model.TrainEpoch(train, rng);
+    ReferenceMfEpoch(train, config, reference_rng, users, items);
+    ExpectBitEqual(model.user_embeddings(), users);
+    ExpectBitEqual(model.item_embeddings(), items);
+    ExpectSameRngState(rng, reference_rng);
+  }
+}
+
+TEST(BprEpochTest, PinSageEpochMatchesFusedLoop) {
+  const data::Dataset train = MakeBprEpochDataset();
+  const PinSageConfig config;
+  PinSageLite model(config);
+  util::Rng rng(testhelpers::TestSeed(47));
+  model.InitTraining(train, rng);
+  math::Matrix items = model.item_embeddings();
+  util::Rng reference_rng(testhelpers::TestSeed(0));
+  reference_rng.RestoreState(rng.SaveState());
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    model.TrainEpoch(train, rng);
+    ReferencePinSageEpoch(train, config, reference_rng, items);
+    ExpectBitEqual(model.item_embeddings(), items);
+    ExpectSameRngState(rng, reference_rng);
+  }
+}
+
+TEST(BprEpochTest, UpdatesSeeEveryTripleInDrawOrder) {
+  const data::Dataset train = MakeBprEpochDataset();
+  util::Rng rng(testhelpers::TestSeed(53));
+  util::Rng reference_rng(testhelpers::TestSeed(53));
+  std::vector<BprTriple> seen;
+  RunBprEpoch(train, rng, [&](const BprTriple* triples, std::size_t count) {
+    seen.insert(seen.end(), triples, triples + count);
+  });
+  std::size_t steps_left = train.num_interactions();
+  std::vector<BprTriple> expected(train.num_interactions());
+  expected.resize(DrawBprTriples(train, reference_rng, &steps_left,
+                                 expected.data(), expected.size()));
+  ASSERT_EQ(seen.size(), expected.size());
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    EXPECT_EQ(seen[t].user, expected[t].user);
+    EXPECT_EQ(seen[t].pos, expected[t].pos);
+    EXPECT_EQ(seen[t].neg, expected[t].neg);
+  }
+  ExpectSameRngState(rng, reference_rng);
+
+  // An epoch with no steps still runs (and joins) its drawer.
+  const data::Dataset empty(8);
+  std::size_t calls = 0;
+  RunBprEpoch(empty, rng, [&](const BprTriple*, std::size_t count) {
+    EXPECT_EQ(count, 0U);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1U);
+  ExpectSameRngState(rng, reference_rng);
+}
+
+// --- PinSageLite cached neighbor weights ------------------------------------
+
+/// score(u, i) as PinSageLite computed it before the weight cache: the
+/// neighborhood sum rebuilt from `current` in the model's accumulation
+/// order and its weight from a pow per score.
+float PowFormulaScore(const PinSageLite& model, const PinSageConfig& config,
+                      const data::Dataset& train,
+                      const data::Dataset& current, data::UserId user,
+                      data::ItemId item) {
+  const std::size_t dim = config.embedding_dim;
+  const float* p = model.UserRepresentation(user);
+  const float alpha = config.self_weight;
+  float score = alpha * math::Dot(p, model.item_embeddings().Row(item), dim);
+  const std::vector<data::UserId>& neighbors = current.ItemProfile(item);
+  if (!neighbors.empty()) {
+    std::vector<float> sum(dim, 0.0f);
+    for (const data::UserId v : neighbors) {
+      math::Axpy(1.0f, model.UserRepresentation(v), sum.data(), dim);
+    }
+    const float w = (1.0f - alpha) /
+                    std::pow(static_cast<float>(neighbors.size()),
+                             config.neighbor_norm_exponent);
+    score += w * math::Dot(p, sum.data(), dim);
+  }
+  score += config.popularity_bias *
+           std::log1p(static_cast<float>(train.ItemPopularity(item)));
+  return score;
+}
+
+/// Batch scores equal per-item `Score` and the pow formula, bit for bit,
+/// for every user and item of `current`.
+void ExpectScorerMatchesPowFormula(const PinSageLite& model,
+                                   const PinSageConfig& config,
+                                   const data::Dataset& train,
+                                   const data::Dataset& current) {
+  std::vector<data::ItemId> candidates(current.num_items());
+  for (data::ItemId item = 0; item < current.num_items(); ++item) {
+    candidates[item] = item;
+  }
+  std::vector<float> batch(candidates.size());
+  std::size_t mismatches = 0;
+  for (data::UserId user = 0; user < current.num_users(); ++user) {
+    model.ScoreCandidatesInto(user, candidates, batch.data());
+    for (const data::ItemId item : candidates) {
+      const float single = model.Score(user, item);
+      const float reference =
+          PowFormulaScore(model, config, train, current, user, item);
+      mismatches += std::memcmp(&batch[item], &single, sizeof(float)) != 0;
+      mismatches += std::memcmp(&single, &reference, sizeof(float)) != 0;
+    }
+  }
+  EXPECT_EQ(mismatches, 0U);
+}
+
+TEST_F(RecFixture, PinSageCachedWeightsMatchPowFormulaThroughRollback) {
+  const PinSageConfig config;
+  PinSageLite model(config);
+  util::Rng rng(testhelpers::TestSeed(59));
+  model.Fit(split_.train, 3, rng);  // ends in BeginServing(train)
+  data::Dataset current = split_.train;
+  ExpectScorerMatchesPowFormula(model, config, split_.train, current);
+
+  ASSERT_TRUE(model.CheckpointServing());
+  const data::DatasetCheckpoint mark = current.Checkpoint();
+  // Injected users pair the most popular items, so the rolled-back items
+  // keep a neighborhood term and a stale weight would change their scores.
+  const auto popular = split_.train.ItemsByPopularity();
+  for (int i = 0; i < 4; ++i) {
+    data::Profile profile;
+    for (int j = 0; j < 6; ++j) profile.push_back(popular[i + j]);
+    model.ObserveNewUser(current, current.AddUser(profile));
+  }
+  ExpectScorerMatchesPowFormula(model, config, split_.train, current);
+
+  current.RollbackTo(mark);
+  ASSERT_TRUE(model.RollbackServing());
+  ExpectScorerMatchesPowFormula(model, config, split_.train, current);
+}
+
+TEST(PinSageScorerTest, WorldModelFactoryCloneMatchesPowFormula) {
+  const testhelpers::TinyWorld& world = testhelpers::SharedTinyWorld();
+  const std::unique_ptr<Recommender> clone = world.ModelFactory()();
+  const auto* model = dynamic_cast<const PinSageLite*>(clone.get());
+  ASSERT_NE(model, nullptr);
+  ExpectScorerMatchesPowFormula(*model, PinSageConfig(), world.split.train,
+                                world.split.train);
 }
 
 }  // namespace
