@@ -1,8 +1,7 @@
 // Unit tests for the copyattack-analyze C++ tokenizer
 // (tools/analyze/tokenizer.h): the translation-phase cases that the
 // regex-era linter misread — raw strings, line splices, CRLF files, block
-// comments spanning would-be rule matches — plus the blanked per-line view
-// the migrated linter matches against, the scope scanner, and the
+// comments spanning would-be rule matches — plus the scope scanner and the
 // layers.toml parser.
 
 #include <algorithm>
@@ -34,6 +33,33 @@ bool HasIdentifier(const LexedFile& lexed, const std::string& text) {
   return std::find(idents.begin(), idents.end(), text) != idents.end();
 }
 
+/// The tokens that start on physical line `line`.
+std::vector<const Token*> TokensOnLine(const LexedFile& lexed,
+                                       std::size_t line) {
+  std::vector<const Token*> out;
+  for (const Token& token : lexed.tokens) {
+    if (token.line == line) out.push_back(&token);
+  }
+  return out;
+}
+
+/// Spellings of the tokens on `line`; string and char literals, whose
+/// bodies are opaque, spell as `""` and `''`.
+std::vector<std::string> SpellingsOnLine(const LexedFile& lexed,
+                                         std::size_t line) {
+  std::vector<std::string> out;
+  for (const Token* token : TokensOnLine(lexed, line)) {
+    if (token->kind == TokenKind::kString) {
+      out.push_back("\"\"");
+    } else if (token->kind == TokenKind::kCharLiteral) {
+      out.push_back("''");
+    } else {
+      out.push_back(token->text);
+    }
+  }
+  return out;
+}
+
 TEST(TokenizerTest, RawStringBodyIsOpaque) {
   const LexedFile lexed = LexString(
       "raw.cc",
@@ -43,10 +69,11 @@ TEST(TokenizerTest, RawStringBodyIsOpaque) {
   EXPECT_FALSE(HasIdentifier(lexed, "rand"));
   EXPECT_FALSE(HasIdentifier(lexed, "time"));
   EXPECT_TRUE(HasIdentifier(lexed, "after"));
-  // The blanked view keeps only the delimiting quotes of the literal.
-  EXPECT_EQ(lexed.code_lines[0].find("rand"), std::string::npos);
-  EXPECT_NE(lexed.code_lines[0].find("const char* s = R\""),
-            std::string::npos);
+  // The whole literal is one body-less string token; the code around it
+  // is intact.
+  EXPECT_EQ(SpellingsOnLine(lexed, 1),
+            (std::vector<std::string>{"const", "char", "*", "s", "=", "\"\"",
+                                      ";"}));
 }
 
 TEST(TokenizerTest, RawStringCustomDelimiterSurvivesQuoteParen) {
@@ -106,8 +133,9 @@ TEST(TokenizerTest, SplicedLineCommentSwallowsContinuation) {
 TEST(TokenizerTest, CrlfIsNormalized) {
   const LexedFile lexed =
       LexString("crlf.cc", "int a = 1;\r\nint b = 2;\r\nint c = 3;\r\n");
-  ASSERT_EQ(lexed.code_lines.size(), 4u);  // 3 lines + empty tail
-  EXPECT_EQ(lexed.code_lines[1], "int b = 2;");
+  EXPECT_EQ(lexed.content, "int a = 1;\nint b = 2;\nint c = 3;\n");
+  EXPECT_EQ(SpellingsOnLine(lexed, 2),
+            (std::vector<std::string>{"int", "b", "=", "2", ";"}));
   for (const Token& token : lexed.tokens) {
     if (token.text == "c") {
       EXPECT_EQ(token.line, 3u);
@@ -124,8 +152,8 @@ TEST(TokenizerTest, BlockCommentSpanningRuleMatchIsBlanked) {
   EXPECT_FALSE(HasIdentifier(lexed, "time"));
   EXPECT_TRUE(HasIdentifier(lexed, "before"));
   EXPECT_TRUE(HasIdentifier(lexed, "after"));
-  // Middle line of the blanked view is all comment, hence all spaces.
-  EXPECT_EQ(lexed.code_lines[1].find_first_not_of(' '), std::string::npos);
+  // The middle line is all comment, hence holds no token.
+  EXPECT_TRUE(TokensOnLine(lexed, 2).empty());
   ASSERT_EQ(lexed.comments.size(), 1u);
   EXPECT_EQ(lexed.comments[0].line_begin, 1u);
   EXPECT_EQ(lexed.comments[0].line_end, 3u);
@@ -144,7 +172,9 @@ TEST(TokenizerTest, DigitSeparatorsStayNumeric) {
     }
   }
   EXPECT_TRUE(found_number);
-  EXPECT_NE(lexed.code_lines[0].find("visible"), std::string::npos);
+  EXPECT_EQ(SpellingsOnLine(lexed, 1),
+            (std::vector<std::string>{"long", "n", "=", "1'000'000", ";", "int",
+                                      "visible", "=", "9", ";"}));
 }
 
 TEST(TokenizerTest, EncodingPrefixedLiteralsAreStrings) {
@@ -171,10 +201,14 @@ TEST(TokenizerTest, IncludePathsBecomeDedicatedTokens) {
   EXPECT_FALSE(paths[0]->angled);
   EXPECT_EQ(paths[1]->text, "vector");
   EXPECT_TRUE(paths[1]->angled);
-  // Quoted path bodies are blanked like strings; the directive skeleton
-  // stays for the header-guard rule.
-  EXPECT_EQ(lexed.code_lines[0].find("util"), std::string::npos);
-  EXPECT_NE(lexed.code_lines[0].find("#include"), std::string::npos);
+  // The path lives only in its dedicated token: line 1 is the directive
+  // plus the path, with no identifier or string spelled out of it.
+  const std::vector<const Token*> line_one = TokensOnLine(lexed, 1);
+  ASSERT_EQ(line_one.size(), 2u);
+  EXPECT_EQ(line_one[0]->kind, TokenKind::kDirective);
+  EXPECT_EQ(line_one[0]->text, "include");
+  EXPECT_EQ(line_one[1]->kind, TokenKind::kIncludePath);
+  EXPECT_FALSE(HasIdentifier(lexed, "util"));
 }
 
 TEST(TokenizerTest, DirectiveTokensAreMarked) {
@@ -196,11 +230,14 @@ TEST(TokenizerTest, AllowanceAppliesToSpannedAndNextLine) {
                                     "int a = 1;\n"
                                     "// analyze:allow(some-rule) reason\n"
                                     "int b = 2;\n"
-                                    "int c = 3;\n");
-  EXPECT_TRUE(lexed.Allows(2, "analyze:allow", "some-rule"));
-  EXPECT_TRUE(lexed.Allows(3, "analyze:allow", "some-rule"));
-  EXPECT_FALSE(lexed.Allows(4, "analyze:allow", "some-rule"));
-  EXPECT_FALSE(lexed.Allows(2, "lint:allow", "some-rule"));
+                                    "int c = 3;\n"
+                                    "int d = 4;  // lint:allow(some-rule)\n");
+  EXPECT_TRUE(lexed.Allows(2, "some-rule"));
+  EXPECT_TRUE(lexed.Allows(3, "some-rule"));
+  EXPECT_FALSE(lexed.Allows(4, "some-rule"));
+  EXPECT_FALSE(lexed.Allows(2, "other-rule"));
+  // Only the analyze:allow marker suppresses.
+  EXPECT_FALSE(lexed.Allows(5, "some-rule"));
 }
 
 TEST(TokenizerTest, Utf8BomIsStrippedBeforeLineOneDirective) {
@@ -210,27 +247,35 @@ TEST(TokenizerTest, Utf8BomIsStrippedBeforeLineOneDirective) {
   const LexedFile lexed = LexString(
       "bom.h", "\xEF\xBB\xBF#pragma once\nint value = 1;\n");
   ASSERT_TRUE(lexed.errors.empty());
-  EXPECT_EQ(lexed.code_lines[0], "#pragma once");
-  ASSERT_FALSE(lexed.tokens.empty());
+  EXPECT_EQ(lexed.content.rfind("#pragma once\n", 0), 0u);
+  EXPECT_EQ(SpellingsOnLine(lexed, 1),
+            (std::vector<std::string>{"pragma", "once"}));
   EXPECT_EQ(lexed.tokens[0].kind, TokenKind::kDirective);
-  EXPECT_EQ(lexed.tokens[0].text, "pragma");
   EXPECT_TRUE(HasIdentifier(lexed, "value"));
 }
 
 TEST(TokenizerTest, PragmaOnceAndHeaderGuardKeepDirectiveSkeleton) {
   // The header-guard rule decides `#pragma once` vs `#ifndef GUARD` from
-  // the blanked code_lines view, so both spellings must survive blanking
-  // verbatim and their tokens must be flagged in_directive.
+  // the first two tokens, so both spellings must open the token stream as
+  // a directive plus an in_directive operand.
   const LexedFile pragma_once =
       LexString("p.h", "#pragma once\nstruct P {};\n");
-  EXPECT_EQ(pragma_once.code_lines[0].rfind("#pragma once", 0), 0u);
+  ASSERT_GE(pragma_once.tokens.size(), 2u);
+  EXPECT_EQ(pragma_once.tokens[0].kind, TokenKind::kDirective);
+  EXPECT_EQ(pragma_once.tokens[0].text, "pragma");
+  EXPECT_EQ(pragma_once.tokens[1].text, "once");
+  EXPECT_TRUE(pragma_once.tokens[1].in_directive);
 
   const LexedFile guarded = LexString("g.h",
                                       "#ifndef COPYATTACK_G_H_\n"
                                       "#define COPYATTACK_G_H_\n"
                                       "struct G {};\n"
                                       "#endif  // COPYATTACK_G_H_\n");
-  EXPECT_EQ(guarded.code_lines[0], "#ifndef COPYATTACK_G_H_");
+  EXPECT_EQ(SpellingsOnLine(guarded, 1),
+            (std::vector<std::string>{"ifndef", "COPYATTACK_G_H_"}));
+  // The guard name in the trailing `// COPYATTACK_G_H_` is a comment.
+  EXPECT_EQ(SpellingsOnLine(guarded, 4),
+            (std::vector<std::string>{"endif"}));
   std::vector<std::string> directives;
   for (const Token& token : guarded.tokens) {
     if (token.kind == TokenKind::kDirective) directives.push_back(token.text);

@@ -146,7 +146,7 @@ std::string SrcRelative(std::string_view rel_path) {
 void AddViolation(const ScannedFile& file, std::size_t line,
                   std::string_view rule, std::string message,
                   std::vector<Violation>* violations) {
-  if (file.lexed.Allows(line, "analyze:allow", rule)) return;
+  if (file.lexed.Allows(line, rule)) return;
   violations->push_back(
       {file.rel_path, line, std::string(rule), std::move(message)});
 }
@@ -224,6 +224,23 @@ const std::vector<RuleInfo>& RuleCatalogue() {
       {"rng-fork-in-stream", "rng",
        "Rng::Fork in stream-scoped campaign code (draw-order dependent; "
        "breaks shard/resume invariance — derive a stream seed instead)"},
+      {"std-rand", "lint",
+       "std::rand / srand / rand_r in src/ (randomness flows through "
+       "util::Rng)"},
+      {"raw-new", "lint",
+       "raw new / delete in src/ (annotate intentional process-lifetime "
+       "singletons)"},
+      {"printf-family", "lint",
+       "printf-family stdio output in src/ outside util/logging, util/check "
+       "and util/string_utils (route through CA_LOG)"},
+      {"header-guard", "lint",
+       "src/ header opens with neither `#pragma once` nor a COPYATTACK_*_H_ "
+       "include guard"},
+      {"float-eq", "lint",
+       "== / != against a floating-point literal in src/ (annotate "
+       "deliberate sparsity/sentinel guards)"},
+      {"raw-clock", "lint",
+       "std::chrono clock read in core/ or rec/ instead of obs timing"},
   };
   return kRules;
 }

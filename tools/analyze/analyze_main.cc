@@ -10,7 +10,9 @@
 // (seed and RNG discipline), checkpoint (CA_CHECKPOINTED save/load
 // coverage), lockorder (CA_ACQUIRED_BEFORE acquisition graph), oracle
 // (metered-oracle access via the call graph), hotpath (CA_HOT_PATH purity),
-// rng (DeriveStreamSeed provenance in stream-scoped campaign code). The
+// rng (DeriveStreamSeed provenance in stream-scoped campaign code), lint
+// (token-level repo invariants over src/: rand, raw new, printf, header
+// guards, float-literal compares, raw clocks in core/rec). The
 // call graph is built once, on demand, when any graph-based pass runs; its
 // resolution stats land in the JSON report. Default targets: src tools
 // bench tests examples (whichever exist under the root). With --baseline,
@@ -38,7 +40,7 @@ using namespace copyattack::analyze;  // tool entry point, not library code
 /// error message) and PassEnabled, so the two can never drift apart.
 constexpr const char* kPassNames[] = {
     "include", "thread", "determinism", "checkpoint",
-    "lockorder", "oracle", "hotpath", "rng",
+    "lockorder", "oracle", "hotpath", "rng", "lint",
 };
 
 bool IsKnownPass(const std::string& pass) {
@@ -63,8 +65,7 @@ struct Options {
   std::string format = "text";
   std::string baseline_path;  // empty = no baseline gating
   std::vector<std::string> passes;  // empty = all
-  std::vector<std::string> excludes = {"tools/analyze/fixtures/",
-                                       "tools/lint_selftest/"};
+  std::vector<std::string> excludes = {"tools/analyze/fixtures/"};
   std::vector<std::string> targets;
   bool list_rules = false;
 };
@@ -244,6 +245,7 @@ int main(int argc, char** argv) {
   timed("rng", [&] {
     RunRngProvenancePass(tree, contract, graph, structures, &violations);
   });
+  timed("lint", [&] { RunLintPass(tree, &violations); });
 
   // With a baseline, grandfathered findings still appear in the report but
   // only fresh findings (and stale entries) decide the exit code.

@@ -21,7 +21,7 @@ std::string Spell(const std::string& qualifier, const std::string& name) {
 }
 
 /// First-occurrence order of `members` (as identifier tokens) inside the
-/// function body. String literals are blanked by the lexer, so a member
+/// function body. String literals are body-less tokens, so a member
 /// name inside a log message or CSV header never counts as a reference.
 std::vector<std::string> ReferenceOrder(const ScannedFile& file,
                                         const FunctionDef& def,

@@ -1,3 +1,4 @@
+#pragma once
 // Leaf of the fixture: the surrogate model the violation reaches for.
 
 namespace fixture::attack {

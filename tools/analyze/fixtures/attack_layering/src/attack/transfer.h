@@ -1,3 +1,4 @@
+#pragma once
 // attack -> core is a declared edge; this header is the legal direction
 // (a zoo strategy implements the core interface, not the other way
 // around).

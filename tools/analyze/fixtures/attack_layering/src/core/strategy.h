@@ -1,3 +1,4 @@
+#pragma once
 // Seeded violation: the strategy interface reaching up into attack/, the
 // zoo of its own implementations. core declares no edges at all, so this
 // include is a layer-undeclared-edge.

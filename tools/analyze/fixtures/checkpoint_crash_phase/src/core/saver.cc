@@ -17,7 +17,7 @@ bool SaveSnapshotFile(const std::string& path, int episodes) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
-  std::fprintf(f, "%d\n", episodes);
+  std::fprintf(f, "%d\n", episodes);  // analyze:allow(printf-family)
   std::fclose(f);
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }

@@ -1,3 +1,4 @@
+#pragma once
 #include <cstdint>
 #include <iosfwd>
 
@@ -22,5 +23,11 @@ struct Snapshot CA_CHECKPOINTED(SaveState, LoadState) {
 
 void SaveState(const Snapshot& snapshot, std::ostream& out);
 bool LoadState(std::istream& in, Snapshot* snapshot);
+
+// Seeded violation: the named serializers were never written ->
+// ckpt-no-serializer (once for save, once for load).
+struct Cursor CA_CHECKPOINTED(SaveCursor, LoadCursor) {
+  std::uint64_t position = 0;
+};
 
 }  // namespace fixture::core

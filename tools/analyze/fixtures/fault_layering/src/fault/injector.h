@@ -1,3 +1,4 @@
+#pragma once
 // Seeded violation: the fault decorator reaching up into core/, the
 // layer that composes it. fault declares only the fault -> rec edge, so
 // this include is a layer-undeclared-edge.

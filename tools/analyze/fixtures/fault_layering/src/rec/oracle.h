@@ -1,3 +1,4 @@
+#pragma once
 // Leaf of the fixture: the black-box interface the decorators wrap.
 
 namespace fixture::rec {

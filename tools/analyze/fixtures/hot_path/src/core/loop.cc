@@ -10,12 +10,12 @@ std::mutex score_mutex;
 
 // VIOLATION hot-path-alloc: reached from the ScoreUser root below.
 float* GrowBuffer(int n) {
-  return new float[n];
+  return new float[n];  // analyze:allow(raw-new)
 }
 
 // VIOLATION hot-path-io: reached from the ScoreUser root below.
 void LogScore(float score) {
-  std::printf("score=%f\n", score);
+  std::printf("score=%f\n", score);  // analyze:allow(printf-family)
 }
 
 // VIOLATION hot-path-throw: reached from the ScoreUser root below.

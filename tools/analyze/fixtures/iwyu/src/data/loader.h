@@ -1,3 +1,4 @@
+#pragma once
 namespace fixture::data {
 
 int LoadRows();

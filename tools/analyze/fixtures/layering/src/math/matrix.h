@@ -1,3 +1,4 @@
+#pragma once
 // Seeded violation: a leaf module reaching up into rec/. This is the
 // canonical breach the include-graph pass exists to catch — the edge is
 // undeclared (layer-undeclared-edge) and, because model.h includes this

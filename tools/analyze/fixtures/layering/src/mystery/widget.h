@@ -1,3 +1,4 @@
+#pragma once
 // Seeded violation: the mystery/ module directory is absent from
 // layers.toml, so the contract is not total -> layer-unknown-module.
 

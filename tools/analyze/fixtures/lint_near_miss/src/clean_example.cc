@@ -1,15 +1,13 @@
-// Conforming counterpart in the self-test fixture: patterns that look close
-// to the banned ones but must NOT fire. If the linter starts flagging any
-// of these, its matching got too greedy (the WILL_FAIL test still fails
-// "correctly" because seeded_violations.h fires, so this file is defense in
-// depth for reviewing linter changes by hand:
-// `lint_copyattack tools/lint_selftest/clean_example.cc` must exit 0).
+// Conforming counterpart of the lint fixture: patterns that look close to
+// the banned ones but must NOT fire. The analyze_lint_near_miss ctest runs
+// the analyzer over this fixture and requires a clean exit, so a rule
+// whose matching gets too greedy turns the suite red.
 
 #include <cstddef>
 #include <memory>
 #include <string>
 
-namespace lint_selftest {
+namespace lint_near_miss {
 
 // "rand" / "new" / "delete" inside identifiers, comments, and strings are
 // not violations.
@@ -32,10 +30,10 @@ inline bool NearOne(double value) {
 }
 
 inline bool ExactZeroGradientSkip(float gradient) {
-  return gradient == 0.0f;  // lint:allow(float-eq): sparsity guard example
+  return gradient == 0.0f;  // analyze:allow(float-eq): sparsity guard example
 }
 
-// Raw strings are opaque to the tokenizer-backed linter: banned patterns
+// Raw strings are opaque to the tokenizer-backed lint pass: banned patterns
 // inside them — including the quote-confusing `")` sequence that broke the
 // regex-era stripper — must not fire any rule.
 inline const char* kRawBanner = R"(std::rand() time(nullptr) printf("%d"))";
@@ -52,4 +50,4 @@ inline constexpr long kBigCount = 1'000'000L;
    included: std::rand() printf new delete time(nullptr)
 inline int AfterSplicedComment() { return 0; }
 
-}  // namespace lint_selftest
+}  // namespace lint_near_miss

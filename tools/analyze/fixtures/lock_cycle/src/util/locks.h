@@ -1,3 +1,4 @@
+#pragma once
 #include <mutex>
 
 // Self-contained stand-ins for util/annotations.h: the pass is lexical, it

@@ -1,3 +1,4 @@
+#pragma once
 #ifndef FIXTURE_REC_ORACLE_H_
 #define FIXTURE_REC_ORACLE_H_
 

@@ -1,3 +1,4 @@
+#pragma once
 #ifndef FIXTURE_UTIL_RNG_H_
 #define FIXTURE_UTIL_RNG_H_
 

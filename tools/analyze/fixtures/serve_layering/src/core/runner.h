@@ -1,3 +1,4 @@
+#pragma once
 // Seeded violation: the campaign runner reaching up into serve/, the
 // layer that schedules it. core declares no edges at all, so this
 // include is a layer-undeclared-edge.

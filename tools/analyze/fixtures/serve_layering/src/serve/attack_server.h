@@ -1,3 +1,4 @@
+#pragma once
 // serve -> core is a declared edge; this header is the legal direction
 // (the server composes the runner, not the other way around).
 #include "core/runner.h"

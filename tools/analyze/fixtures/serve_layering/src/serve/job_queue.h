@@ -1,3 +1,4 @@
+#pragma once
 // Leaf of the fixture: the promotion-job queue the violation reaches for.
 
 namespace fixture::serve {

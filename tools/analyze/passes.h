@@ -101,6 +101,14 @@ void RunRngProvenancePass(const SourceTree& tree,
                           const std::vector<FileStructure>& structures,
                           std::vector<Violation>* violations);
 
+/// Lint pass: token-level repo invariants over src/ — the C rand family,
+/// raw new/delete, printf-family output outside the logging files, header
+/// guards, exact compares against float literals, and std::chrono clock
+/// reads in core/ and rec/ (timing there goes through src/obs).
+/// Rules: std-rand, raw-new, printf-family, header-guard, float-eq,
+/// raw-clock.
+void RunLintPass(const SourceTree& tree, std::vector<Violation>* violations);
+
 }  // namespace copyattack::analyze
 
 #endif  // COPYATTACK_TOOLS_ANALYZE_PASSES_H_

@@ -368,7 +368,7 @@ class Scanner {
   /// Parses the paren group opening at raw token index `paren` into
   /// depth-1, comma-separated arguments, each the concatenation of its
   /// identifier / `::` tokens ("mutex_", "ThreadBuffer::mutex"). String
-  /// literals (blanked by the lexer) and nested groups contribute nothing.
+  /// literals (body-less tokens) and nested groups contribute nothing.
   std::vector<std::string> ParseAnnotationArgs(std::size_t paren) const {
     std::vector<std::string> args;
     if (paren == kNone || paren >= tokens_.size() ||

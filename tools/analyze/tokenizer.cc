@@ -19,9 +19,9 @@ bool IsIdentChar(char c) {
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
-/// Normalizes line endings: CRLF and lone CR both become `\n`, so line
-/// counting and per-line blanking behave identically for files edited on
-/// any platform (satisfying the CRLF cases in the tokenizer test suite).
+/// Normalizes line endings: CRLF and lone CR both become `\n`, so token
+/// and comment line numbers are identical for files edited on any
+/// platform (satisfying the CRLF cases in the tokenizer test suite).
 /// A leading UTF-8 BOM is dropped too — editors on some platforms prepend
 /// one, and without the strip a line-1 `#include`/`#pragma` is no longer
 /// at line start and the whole directive lexes as punctuation soup.
@@ -44,14 +44,10 @@ std::string NormalizeNewlines(const std::string& raw) {
   return out;
 }
 
-/// The lexer proper. Walks `src` once, emitting tokens and comments and
-/// blanking non-code bytes in `blanked` (same length as `src`; newlines are
-/// never blanked so the per-line split stays aligned).
+/// The lexer proper. Walks `src` once, emitting tokens and comments.
 class Lexer {
  public:
-  explicit Lexer(LexedFile* out) : out_(*out), src_(out->content) {
-    blanked_ = src_;
-  }
+  explicit Lexer(LexedFile* out) : out_(*out), src_(out->content) {}
 
   void Run() {
     while (!Eof()) {
@@ -105,7 +101,6 @@ class Lexer {
       }
       LexPunct();
     }
-    FinalizeCodeLines();
   }
 
  private:
@@ -129,26 +124,18 @@ class Lexer {
         Token{kind, std::move(text), line, false, in_directive_});
   }
 
-  void BlankHere() {
-    if (src_[i_] != '\n') blanked_[i_] = ' ';
-  }
-
   void LexLineComment() {
     const std::size_t begin_line = line_;
     std::string text;
     while (!Eof()) {
       if (src_[i_] == '\\' && Peek(1) == '\n') {
         // Spliced line comment: continues on the next physical line.
-        BlankHere();
-        text.push_back(src_[i_]);
-        ++i_;
+        text.append("\\\n");
+        i_ += 2;
         ++line_;
-        text.push_back('\n');
-        ++i_;
         continue;
       }
       if (src_[i_] == '\n') break;
-      BlankHere();
       text.push_back(src_[i_]);
       ++i_;
     }
@@ -157,29 +144,17 @@ class Lexer {
 
   void LexBlockComment() {
     const std::size_t begin_line = line_;
-    std::string text;
-    BlankHere();
-    text.push_back(src_[i_]);
-    ++i_;  // '/'
-    BlankHere();
-    text.push_back(src_[i_]);
-    ++i_;  // '*'
+    std::string text = "/*";
+    i_ += 2;
     bool terminated = false;
     while (!Eof()) {
       if (src_[i_] == '*' && Peek(1) == '/') {
-        BlankHere();
-        ++i_;
-        BlankHere();
-        ++i_;
+        i_ += 2;
         text.append("*/");
         terminated = true;
         break;
       }
-      if (src_[i_] == '\n') {
-        ++line_;
-      } else {
-        BlankHere();
-      }
+      if (src_[i_] == '\n') ++line_;
       text.push_back(src_[i_]);
       ++i_;
     }
@@ -209,35 +184,18 @@ class Lexer {
     if (!is_include) return;  // body lexed as ordinary tokens
 
     while (!Eof() && (src_[i_] == ' ' || src_[i_] == '\t')) ++i_;
-    if (Eof()) return;
-    if (src_[i_] == '<') {
-      // Angled path: kept as code in the blanked view (the legacy linter
-      // never treated it as a string either).
+    if (Eof() || (src_[i_] != '<' && src_[i_] != '"')) return;
+    const bool angled = src_[i_] == '<';
+    const char closer = angled ? '>' : '"';
+    ++i_;
+    std::string path;
+    while (!Eof() && src_[i_] != closer && src_[i_] != '\n') {
+      path.push_back(src_[i_]);
       ++i_;
-      std::string path;
-      while (!Eof() && src_[i_] != '>' && src_[i_] != '\n') {
-        path.push_back(src_[i_]);
-        ++i_;
-      }
-      if (!Eof() && src_[i_] == '>') ++i_;
-      Token token{TokenKind::kIncludePath, std::move(path), line_, true,
-                  true};
-      out_.tokens.push_back(std::move(token));
-      return;
     }
-    if (src_[i_] == '"') {
-      ++i_;  // keep the opening quote in the blanked view
-      std::string path;
-      while (!Eof() && src_[i_] != '"' && src_[i_] != '\n') {
-        BlankHere();
-        path.push_back(src_[i_]);
-        ++i_;
-      }
-      if (!Eof() && src_[i_] == '"') ++i_;
-      Token token{TokenKind::kIncludePath, std::move(path), line_, false,
-                  true};
-      out_.tokens.push_back(std::move(token));
-    }
+    if (!Eof() && src_[i_] == closer) ++i_;
+    out_.tokens.push_back(
+        Token{TokenKind::kIncludePath, std::move(path), line_, angled, true});
   }
 
   void LexIdentifierOrPrefixedLiteral() {
@@ -272,17 +230,16 @@ class Lexer {
   }
 
   /// Consumes a string literal starting at the opening `"` (any encoding
-  /// prefix has already been consumed). Bodies are blanked; the delimiting
-  /// quotes stay so column-sensitive line rules keep their anchors.
+  /// prefix has already been consumed). The body is not kept: string
+  /// tokens carry no text.
   void LexStringBody(bool raw) {
     const std::size_t begin_line = line_;
-    ++i_;  // opening '"', kept as code
+    ++i_;  // opening '"'
     if (raw) {
       // d-char-seq up to the opening '('.
       std::string delim;
       while (!Eof() && src_[i_] != '(' && src_[i_] != '\n' &&
              delim.size() <= 16) {
-        BlankHere();
         delim.push_back(src_[i_]);
         ++i_;
       }
@@ -291,25 +248,15 @@ class Lexer {
                               std::to_string(begin_line));
         return;
       }
-      BlankHere();
       ++i_;  // '('
       const std::string closer = ")" + delim + "\"";
       while (!Eof()) {
         if (src_[i_] == ')' &&
             src_.compare(i_, closer.size(), closer) == 0) {
-          // Blank `)delim`, keep the closing quote.
-          for (std::size_t k = 0; k + 1 < closer.size(); ++k) {
-            BlankHere();
-            ++i_;
-          }
-          ++i_;  // closing '"'
+          i_ += closer.size();
           return;
         }
-        if (src_[i_] == '\n') {
-          ++line_;
-        } else {
-          BlankHere();
-        }
+        if (src_[i_] == '\n') ++line_;
         ++i_;
       }
       out_.errors.push_back("unterminated raw string starting on line " +
@@ -318,22 +265,16 @@ class Lexer {
     }
     while (!Eof()) {
       if (src_[i_] == '\\' && i_ + 1 < src_.size()) {
-        BlankHere();
         ++i_;
-        if (src_[i_] == '\n') {
-          ++line_;  // escaped newline inside a literal
-        } else {
-          BlankHere();
-        }
+        if (src_[i_] == '\n') ++line_;  // escaped newline inside a literal
         ++i_;
         continue;
       }
       if (src_[i_] == '"') {
-        ++i_;  // closing quote kept
+        ++i_;  // closing quote
         return;
       }
       if (src_[i_] == '\n') return;  // unterminated: be tolerant
-      BlankHere();
       ++i_;
     }
   }
@@ -342,13 +283,8 @@ class Lexer {
     ++i_;  // opening '\''
     while (!Eof()) {
       if (src_[i_] == '\\' && i_ + 1 < src_.size()) {
-        BlankHere();
         ++i_;
-        if (src_[i_] == '\n') {
-          ++line_;
-        } else {
-          BlankHere();
-        }
+        if (src_[i_] == '\n') ++line_;
         ++i_;
         continue;
       }
@@ -357,7 +293,6 @@ class Lexer {
         return;
       }
       if (src_[i_] == '\n') return;
-      BlankHere();
       ++i_;
     }
   }
@@ -407,23 +342,8 @@ class Lexer {
     ++i_;
   }
 
-  void FinalizeCodeLines() {
-    out_.code_lines.clear();
-    std::string current;
-    for (const char c : blanked_) {
-      if (c == '\n') {
-        out_.code_lines.push_back(current);
-        current.clear();
-      } else {
-        current.push_back(c);
-      }
-    }
-    out_.code_lines.push_back(std::move(current));
-  }
-
   LexedFile& out_;
   const std::string& src_;
-  std::string blanked_;
   std::size_t i_ = 0;
   std::size_t line_ = 1;
   bool at_line_start_ = true;
@@ -432,11 +352,8 @@ class Lexer {
 
 }  // namespace
 
-bool LexedFile::Allows(std::size_t line, std::string_view marker,
-                       std::string_view rule) const {
-  std::string needle;
-  needle.reserve(marker.size() + rule.size() + 2);
-  needle.append(marker).push_back('(');
+bool LexedFile::Allows(std::size_t line, std::string_view rule) const {
+  std::string needle = "analyze:allow(";
   needle.append(rule).push_back(')');
   for (const Comment& comment : comments) {
     // The marker suppresses on every line the comment spans and on the line
@@ -446,24 +363,6 @@ bool LexedFile::Allows(std::size_t line, std::string_view marker,
     if (comment.text.find(needle) != std::string::npos) return true;
   }
   return false;
-}
-
-void LexedFile::BuildLineSpans() const {
-  if (!line_spans_.empty()) return;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i <= content.size(); ++i) {
-    if (i == content.size() || content[i] == '\n') {
-      line_spans_.emplace_back(begin, i - begin);
-      begin = i + 1;
-    }
-  }
-}
-
-std::string_view LexedFile::Line(std::size_t line) const {
-  BuildLineSpans();
-  if (line == 0 || line > line_spans_.size()) return {};
-  const auto [offset, length] = line_spans_[line - 1];
-  return std::string_view(content).substr(offset, length);
 }
 
 LexedFile LexString(std::string path, std::string content) {

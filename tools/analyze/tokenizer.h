@@ -4,12 +4,11 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-/// A real C++ tokenizer for the static-analysis subsystem (and the
-/// repo-invariant linter, which shares it so its regex-era rules stop
-/// matching inside comments, string literals, and raw strings).
+/// A real C++ tokenizer for the static-analysis subsystem. Every pass reads
+/// its token stream, so no rule can match inside a comment, a string
+/// literal, or a raw string.
 ///
 /// Scope: lexical analysis only — no preprocessing, no semantics. Both
 /// branches of every `#if` are lexed (the passes must see code that is
@@ -63,33 +62,17 @@ struct LexedFile {
   std::vector<Token> tokens;
   std::vector<Comment> comments;
 
-  /// One entry per physical line of `content`: comments and the interiors
-  /// of string/char literals blanked to spaces (delimiters kept), code
-  /// verbatim. Quoted `#include` paths are blanked like strings; angled
-  /// paths stay, matching the legacy linter's stripping so its line rules
-  /// migrate without behavioural drift.
-  std::vector<std::string> code_lines;
-
   /// Lexer complaints (unterminated block comment / raw string). The passes
   /// treat any of these as a violation so silently-mislexed files cannot
   /// pass the tree check.
   std::vector<std::string> errors;
 
   /// True if a comment on `line` — or ending on the line directly above it
-  /// — contains `<marker>(<rule>)`, e.g. Allows(42, "analyze:allow",
-  /// "layer-cycle"). A multi-line block comment grants its allowances to
-  /// every line it spans (plus the next); in a run of `//` lines the marker
-  /// must sit on the last one or on the code line itself.
-  bool Allows(std::size_t line, std::string_view marker,
-              std::string_view rule) const;
-
-  /// The raw text of physical line `line` (1-based), empty if out of range.
-  std::string_view Line(std::size_t line) const;
-
- private:
-  friend LexedFile LexString(std::string path, std::string content);
-  mutable std::vector<std::pair<std::size_t, std::size_t>> line_spans_;
-  void BuildLineSpans() const;
+  /// — contains `analyze:allow(<rule>)`, e.g. Allows(42, "layer-cycle"). A
+  /// multi-line block comment grants its allowances to every line it spans
+  /// (plus the next); in a run of `//` lines the marker must sit on the
+  /// last one or on the code line itself.
+  bool Allows(std::size_t line, std::string_view rule) const;
 };
 
 /// Lexes an in-memory buffer.

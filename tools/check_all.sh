@@ -2,8 +2,9 @@
 # End-to-end correctness gate: "clean under check_all" is this repo's
 # definition of green. Runs, in order:
 #
-#   1. the repo-invariant linter + copyattack-analyze semantic passes
-#      (fast fail before any long build; JSON report → build/reports/)
+#   1. copyattack-analyze: the semantic passes plus the repo-invariant
+#      lint pass (fast fail before any long build; JSON report →
+#      build/reports/)
 #   2. release preset  — -Werror wall, unit + lint suites
 #   3. asan-ubsan preset — full build, unit + lint suites under ASan/UBSan
 #   4. tsan preset     — full build, unit suite AND the `stress` label
@@ -43,16 +44,15 @@ run_preset() {
   ctest --preset "${preset}" -j "${jobs}" "${ctest_args[@]}"
 }
 
-# 1. Static analysis first: build just the lint tooling in the release
-# tree and run it on the tree so contract violations fail in seconds, not
-# after three builds. The semantic analyzer (layering, thread-safety
-# annotations, determinism discipline) also archives a machine-readable
-# report under build/reports/ for CI artifact upload.
-step "lint + analyze"
+# 1. Static analysis first: build just the analyzer in the release tree
+# and run it on the tree so contract violations fail in seconds, not after
+# three builds. Its passes (layering, thread-safety annotations,
+# determinism discipline, the repo-invariant lint rules, ...) also archive
+# a machine-readable report under build/reports/ for CI artifact upload.
+step "analyze"
 cmake --preset release >/dev/null
 cmake --build --preset release --parallel "${jobs}" \
-  --target lint_copyattack copyattack-analyze
-./build/tools/lint_copyattack src
+  --target copyattack-analyze
 mkdir -p build/reports
 ./build/tools/analyze/copyattack-analyze --root=. --format=json \
   > build/reports/analyze_report.json \
