@@ -125,20 +125,9 @@ void Dataset::RollbackTo(const DatasetCheckpoint& checkpoint) {
   num_interactions_ = checkpoint.num_interactions;
 }
 
-const Profile& Dataset::UserProfile(UserId user) const {
-  CA_CHECK_LT(user, profiles_.size());
-  return profiles_[user];
-}
-
 const std::vector<UserId>& Dataset::ItemProfile(ItemId item) const {
   CA_CHECK_LT(item, num_items_);
   return item_profiles_[item];
-}
-
-bool Dataset::HasInteraction(UserId user, ItemId item) const {
-  CA_CHECK_LT(user, profiles_.size());
-  if (item >= num_items_) return false;
-  return (membership_[WordIndex(user, item)] & Bit(item)) != 0;
 }
 
 std::vector<Interaction> Dataset::AllInteractions() const {

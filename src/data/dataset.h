@@ -9,6 +9,7 @@
 
 #include "data/types.h"
 #include "util/annotations.h"
+#include "util/check.h"
 
 namespace copyattack::data {
 
@@ -71,7 +72,10 @@ class Dataset {
   std::size_t num_interactions() const { return num_interactions_; }
 
   /// The ordered item sequence of `user`.
-  const Profile& UserProfile(UserId user) const;
+  const Profile& UserProfile(UserId user) const {
+    CA_CHECK_LT(user, profiles_.size());
+    return profiles_[user];
+  }
 
   /// The users who interacted with `item`, in insertion order.
   const std::vector<UserId>& ItemProfile(ItemId item) const;
@@ -83,7 +87,11 @@ class Dataset {
 
   /// True if `user` interacted with `item`: one word load from the
   /// membership bitset, O(1). False for `item >= num_items()`.
-  bool HasInteraction(UserId user, ItemId item) const;
+  bool HasInteraction(UserId user, ItemId item) const {
+    CA_CHECK_LT(user, profiles_.size());
+    if (item >= num_items_) return false;
+    return (membership_[WordIndex(user, item)] & Bit(item)) != 0;
+  }
 
   /// Flattens all interactions (user order, then sequence order).
   std::vector<Interaction> AllInteractions() const;

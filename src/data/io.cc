@@ -1,6 +1,8 @@
 #include "data/io.h"
 
 #include <algorithm>
+#include <charconv>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,28 @@ struct Row {
   ItemId item = 0;
 };
 
+/// Parses `line` in place when it is exactly three unsigned decimal
+/// fields ("12,345,6"): no quotes, spaces, signs, empty fields or values
+/// above SIZE_MAX. False for any other line, which the general path
+/// (util::ParseCsvLine + util::ParseSizeT) then parses to the same values
+/// or rejects; a line this accepts parses identically there.
+bool ParsePlainRow(const std::string& line, std::size_t* user,
+                   std::size_t* item, std::size_t* position) {
+  const char* cursor = line.data();
+  const char* const end = cursor + line.size();
+  std::size_t* const values[] = {user, item, position};
+  for (std::size_t field = 0; field < 3; ++field) {
+    if (field > 0) {
+      if (cursor == end || *cursor != ',') return false;
+      ++cursor;
+    }
+    const auto [next, ec] = std::from_chars(cursor, end, *values[field]);
+    if (ec != std::errc()) return false;  // no digits, or out of range
+    cursor = next;
+  }
+  return cursor == end;
+}
+
 /// Reads `<path>` and appends its users to `domain` in one streaming
 /// pass. Rows may come in any order; a repeated (user, position) keeps the
 /// last row. Data row i (counting non-blank rows, as util::CsvReader
@@ -56,18 +80,22 @@ bool LoadDomain(const std::string& path, Dataset* domain, IoError* error) {
     return Fail(error, path, 1, "expected header user,item,position");
   }
   std::vector<Row> rows;
-  while (reader.Next(&fields)) {
+  while (reader.NextLine()) {
     const std::size_t line_number = rows.size() + 2;
-    if (fields.size() != 3) {
-      return Fail(error, path, line_number,
-                  "expected 3 fields, got " + std::to_string(fields.size()));
-    }
     Row row;
     std::size_t item = 0;
-    if (!util::ParseSizeT(fields[0], &row.user) ||
-        !util::ParseSizeT(fields[1], &item) ||
-        !util::ParseSizeT(fields[2], &row.position)) {
-      return Fail(error, path, line_number, "non-numeric field");
+    if (!ParsePlainRow(reader.line(), &row.user, &item, &row.position)) {
+      fields = util::ParseCsvLine(reader.line());
+      if (fields.size() != 3) {
+        return Fail(error, path, line_number,
+                    "expected 3 fields, got " +
+                        std::to_string(fields.size()));
+      }
+      if (!util::ParseSizeT(fields[0], &row.user) ||
+          !util::ParseSizeT(fields[1], &item) ||
+          !util::ParseSizeT(fields[2], &row.position)) {
+        return Fail(error, path, line_number, "non-numeric field");
+      }
     }
     if (item >= domain->num_items()) {
       return Fail(error, path, line_number,

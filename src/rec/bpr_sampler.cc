@@ -1,11 +1,12 @@
 #include "rec/bpr_sampler.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
+#include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "obs/time.h"
 #include "util/annotations.h"
 
 namespace copyattack::rec {
@@ -15,12 +16,56 @@ namespace {
 constexpr std::size_t kNegativeAttempts = 32;
 constexpr std::size_t kRingChunks = 4;
 constexpr std::size_t kChunkTriples = 4096;
+/// How long a ring waiter spins before it blocks: about the time one full
+/// chunk of 4096 steps takes to draw or to update, so in steady state the
+/// side that waits for the other never sleeps (DESIGN §17).
+constexpr std::int64_t kSpinNanos = 250'000;
+/// The spin loop reads the clock once per this many pauses.
+constexpr std::size_t kPausesPerClockRead = 64;
+/// Set in `consumed_` by `TripleRing::Cancel`.
+constexpr std::size_t kCancelledBit = std::size_t{1}
+                                      << (sizeof(std::size_t) * 8 - 1);
+
+void CpuPause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Returns the first value of `word` that satisfies `ready`. Spins with a
+/// CPU pause for up to `kSpinNanos`, then blocks in `std::atomic::wait`
+/// until the word changes. The acquire loads order the other side's
+/// writes before whatever the caller reads next.
+template <typename Ready>
+std::size_t AwaitWord(const std::atomic<std::size_t>& word, Ready ready) {
+  std::size_t value = word.load(std::memory_order_acquire);
+  if (ready(value)) return value;
+  const std::int64_t deadline = obs::MonotonicNanos() + kSpinNanos;
+  for (std::size_t pauses = 1;; ++pauses) {
+    CpuPause();
+    value = word.load(std::memory_order_acquire);
+    if (ready(value)) return value;
+    if (pauses % kPausesPerClockRead == 0 &&
+        obs::MonotonicNanos() >= deadline) {
+      break;
+    }
+  }
+  for (;;) {
+    word.wait(value, std::memory_order_acquire);
+    value = word.load(std::memory_order_acquire);
+    if (ready(value)) return value;
+  }
+}
 
 /// Single-producer, single-consumer hand-off of triple chunks. Chunk `c`
-/// lives in slot `c % kRingChunks`; the drawer owns a slot from
-/// `AwaitFreeSlot(c)` until `Publish(c, ...)`, the updater from
-/// `AwaitChunk(c)` until `Release(c)`. The mutex hand-offs order every
-/// slot's writes before the other side's reads.
+/// lives in slot `c % kRingChunks`; the drawer owns a slot (its triples,
+/// count and last flag) from `AwaitFreeSlot(c)` until `Publish(c, ...)`,
+/// the updater from `AwaitChunk(c)` until `Release(c)`. Only the drawer
+/// stores `produced_` and only the updater stores `consumed_`; each store
+/// is a release that the other side's acquire load pairs with, which
+/// orders every slot's writes before the other side's reads.
 class TripleRing {
  public:
   explicit TripleRing(std::size_t chunk_capacity)
@@ -33,66 +78,51 @@ class TripleRing {
     return triples_.data() + (chunk % kRingChunks) * chunk_capacity_;
   }
 
-  /// Drawer: blocks until chunk `chunk`'s slot is released. False when the
+  /// Drawer: waits until chunk `chunk`'s slot is released. False when the
   /// updater has cancelled the epoch.
   bool AwaitFreeSlot(std::size_t chunk) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    slot_free_.wait(lock, [&] {
-      return cancelled_ || chunk - consumed_ < kRingChunks;
+    const std::size_t consumed = AwaitWord(consumed_, [chunk](std::size_t c) {
+      return (c & kCancelledBit) != 0 || chunk - c < kRingChunks;
     });
-    return !cancelled_;
+    return (consumed & kCancelledBit) == 0;
   }
 
   /// Drawer: hands chunk `chunk` (its `count` triples) to the updater.
   void Publish(std::size_t chunk, std::size_t count, bool last) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      counts_[chunk % kRingChunks] = count;
-      last_chunk_ = last ? chunk : last_chunk_;
-      produced_ = chunk + 1;
-    }
-    chunk_ready_.notify_one();
+    counts_[chunk % kRingChunks] = count;
+    last_[chunk % kRingChunks] = last;
+    produced_.store(chunk + 1, std::memory_order_release);
+    produced_.notify_one();
   }
 
-  /// Updater: blocks until chunk `chunk` is published; returns its triple
+  /// Updater: waits until chunk `chunk` is published; returns its triple
   /// count and sets `*last` when no chunk follows it.
   std::size_t AwaitChunk(std::size_t chunk, bool* last) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    chunk_ready_.wait(lock, [&] { return produced_ > chunk; });
-    *last = last_chunk_ == chunk;
+    AwaitWord(produced_, [chunk](std::size_t p) { return p > chunk; });
+    *last = last_[chunk % kRingChunks];
     return counts_[chunk % kRingChunks];
   }
 
   /// Updater: gives chunk `chunk`'s slot back to the drawer.
   void Release(std::size_t chunk) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      consumed_ = chunk + 1;
-    }
-    slot_free_.notify_one();
+    consumed_.store(chunk + 1, std::memory_order_release);
+    consumed_.notify_one();
   }
 
-  /// Updater: stops a drawer still waiting for a slot.
+  /// Updater: stops a drawer still waiting for a slot. Changes the very
+  /// word the drawer waits on, so a drawer blocked in `wait` wakes.
   void Cancel() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      cancelled_ = true;
-    }
-    slot_free_.notify_one();
+    consumed_.fetch_or(kCancelledBit, std::memory_order_release);
+    consumed_.notify_one();
   }
 
  private:
   const std::size_t chunk_capacity_;
   std::vector<BprTriple> triples_;  // slot-owned, see the class comment
-  std::mutex mutex_ CA_ACQUIRED_BEFORE();
-  std::condition_variable chunk_ready_;
-  std::condition_variable slot_free_;
-  std::size_t counts_[kRingChunks] CA_GUARDED_BY(mutex_) = {};
-  std::size_t produced_ CA_GUARDED_BY(mutex_) = 0;
-  std::size_t consumed_ CA_GUARDED_BY(mutex_) = 0;
-  std::size_t last_chunk_ CA_GUARDED_BY(mutex_) =
-      static_cast<std::size_t>(-1);
-  bool cancelled_ CA_GUARDED_BY(mutex_) = false;
+  std::size_t counts_[kRingChunks] = {};  // slot-owned
+  bool last_[kRingChunks] = {};           // slot-owned
+  std::atomic<std::size_t> produced_ CA_ATOMIC_ONLY{0};
+  std::atomic<std::size_t> consumed_ CA_ATOMIC_ONLY{0};
 };
 
 }  // namespace

@@ -49,17 +49,19 @@ std::vector<data::ItemId> SampleNegatives(const data::Dataset& filter,
 namespace {
 
 /// Ranks `probe` among `probe + negatives` under `model` and accumulates
-/// HR/NDCG at every cutoff.
+/// HR/NDCG at every cutoff. `candidates` and `scores` are scratch buffers
+/// the caller reuses across pairs.
 void AccumulateRanked(const Recommender& model, data::UserId user,
                       data::ItemId probe,
                       const std::vector<data::ItemId>& negatives,
                       const std::vector<std::size_t>& ks,
-                      MetricsByK& metrics) {
-  std::vector<data::ItemId> candidates;
-  candidates.reserve(negatives.size() + 1);
+                      std::vector<data::ItemId>& candidates,
+                      std::vector<float>& scores, MetricsByK& metrics) {
+  candidates.clear();
   candidates.push_back(probe);
   candidates.insert(candidates.end(), negatives.begin(), negatives.end());
-  const std::vector<float> scores = model.ScoreCandidates(user, candidates);
+  scores.resize(candidates.size());
+  model.ScoreCandidatesInto(user, candidates, scores.data());
   const std::size_t rank = math::RankOf(scores, 0);
   for (const std::size_t k : ks) {
     metrics[k].Accumulate(math::HitRatioAtK(rank, k),
@@ -96,9 +98,11 @@ MetricsByK ScoreHeldOut(
   CA_CHECK_EQ(negatives.size(), pairs.size());
   MetricsByK metrics;
   for (const std::size_t k : ks) metrics[k] = TopKMetrics();
+  std::vector<data::ItemId> candidates;
+  std::vector<float> scores;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     AccumulateRanked(model, pairs[i].user, pairs[i].item, negatives[i], ks,
-                     metrics);
+                     candidates, scores, metrics);
   }
   FinalizeAll(metrics);
   return metrics;
@@ -123,6 +127,8 @@ MetricsByK EvaluatePromotion(const Recommender& model,
   CA_CHECK(!ks.empty());
   MetricsByK metrics;
   for (const std::size_t k : ks) metrics[k] = TopKMetrics();
+  std::vector<data::ItemId> candidates;
+  std::vector<float> scores;
   for (const data::UserId user : users) {
     if (user < filter.num_users() &&
         filter.HasInteraction(user, target_item)) {
@@ -130,7 +136,8 @@ MetricsByK EvaluatePromotion(const Recommender& model,
     }
     const auto negatives =
         SampleNegatives(filter, user, target_item, num_negatives, rng);
-    AccumulateRanked(model, user, target_item, negatives, ks, metrics);
+    AccumulateRanked(model, user, target_item, negatives, ks, candidates,
+                     scores, metrics);
   }
   FinalizeAll(metrics);
   return metrics;

@@ -146,7 +146,7 @@ void PinSageLite::BeginServing(const data::Dataset& current) {
   }
   neighbor_weight_.resize(current.num_items());
   for (data::ItemId item = 0; item < current.num_items(); ++item) {
-    neighbor_weight_[item] = NeighborWeight(item_user_count_[item]);
+    neighbor_weight_[item] = CountWeight(item_user_count_[item]);
   }
   // A full rebuild supersedes whatever state an older checkpoint captured.
   serving_ckpt_.valid = false;
@@ -162,7 +162,7 @@ void PinSageLite::ObserveNewUser(const data::Dataset& current,
   ComputeUserRepresentation(current, user, rep);
   for (const data::ItemId item : current.UserProfile(user)) {
     math::Axpy(1.0f, rep, item_user_sum_.Row(item), dim);
-    neighbor_weight_[item] = NeighborWeight(++item_user_count_[item]);
+    neighbor_weight_[item] = CountWeight(++item_user_count_[item]);
     if (serving_ckpt_.valid) serving_ckpt_.touched.push_back(item);
   }
 }
@@ -189,7 +189,7 @@ bool PinSageLite::RollbackServing() {
   for (const data::ItemId item : serving_ckpt_.touched) {
     item_user_sum_.CopyRowFrom(serving_ckpt_.item_user_sum, item, item);
     item_user_count_[item] = serving_ckpt_.item_user_count[item];
-    neighbor_weight_[item] = NeighborWeight(item_user_count_[item]);
+    neighbor_weight_[item] = CountWeight(item_user_count_[item]);
   }
   serving_ckpt_.touched.clear();
   return true;
@@ -216,6 +216,13 @@ float PinSageLite::NeighborWeight(std::size_t count) const {
   if (count == 0) return 0.0f;  // never read: no neighborhood term
   return (1.0f - config_.self_weight) /
          std::pow(static_cast<float>(count), config_.neighbor_norm_exponent);
+}
+
+float PinSageLite::CountWeight(std::size_t count) {
+  while (weight_by_count_.size() <= count) {
+    weight_by_count_.push_back(NeighborWeight(weight_by_count_.size()));
+  }
+  return weight_by_count_[count];
 }
 
 float PinSageLite::ScoreRepresentation(const float* p,

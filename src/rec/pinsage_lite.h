@@ -106,6 +106,10 @@ class PinSageLite final : public Recommender {
   /// with `count` interacting users (0 when `count` is 0).
   float NeighborWeight(std::size_t count) const;
 
+  /// `NeighborWeight(count)` read from `weight_by_count_`, which grows to
+  /// cover `count` on first use, so each count pays its pow once.
+  float CountWeight(std::size_t count);
+
   /// score(u, item) for the user representation `p` (bounds unchecked).
   float ScoreRepresentation(const float* p, data::ItemId item) const;
 
@@ -120,6 +124,9 @@ class PinSageLite final : public Recommender {
   /// `NeighborWeight(item_user_count_[item])`, kept in step with the count
   /// so scoring needs no pow per candidate.
   std::vector<float> neighbor_weight_;
+  /// `weight_by_count_[c] == NeighborWeight(c)`; depends only on the
+  /// config, so it is never invalidated.
+  std::vector<float> weight_by_count_;
 
   /// Serving-state checkpoint (CheckpointServing/RollbackServing): a copy
   /// of the neighborhood accumulators plus a journal of items touched by

@@ -92,11 +92,15 @@ CsvReader::CsvReader(const std::string& path)
     : in_(path), opened_(static_cast<bool>(in_)) {}
 
 bool CsvReader::Next(std::vector<std::string>* fields) {
+  if (!NextLine()) return false;
+  *fields = ParseCsvLine(line_);
+  return true;
+}
+
+bool CsvReader::NextLine() {
   while (std::getline(in_, line_)) {
     if (!line_.empty() && line_.back() == '\r') line_.pop_back();
-    if (line_.empty()) continue;
-    *fields = ParseCsvLine(line_);
-    return true;
+    if (!line_.empty()) return true;
   }
   return false;
 }

@@ -48,6 +48,12 @@ class CsvReader {
   /// Reads the next non-blank row into `*fields`; false at end of file.
   bool Next(std::vector<std::string>* fields);
 
+  /// Reads the next non-blank line without splitting it into fields, for
+  /// callers with a faster parser for their common row shape; false at end
+  /// of file. `line()` holds it, trailing CR dropped, until the next read.
+  bool NextLine();
+  const std::string& line() const { return line_; }
+
  private:
   std::ifstream in_;
   bool opened_;  ///< fixed at open: the stream itself fails at end of file

@@ -13,10 +13,6 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 std::uint64_t DeriveStreamSeed(std::uint64_t base, std::uint64_t stream) {
@@ -31,30 +27,6 @@ Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) {
     word = SplitMix64(s);
-  }
-}
-
-std::uint64_t Rng::NextUint64() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::UniformUint64(std::uint64_t bound) {
-  CA_CHECK_GT(bound, 0ULL);
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (0ULL - bound) % bound;
-  for (;;) {
-    const std::uint64_t r = NextUint64();
-    if (r >= threshold) {
-      return r % bound;
-    }
   }
 }
 

@@ -40,10 +40,30 @@ class Rng CA_CHECKPOINTED(Rng::SaveState, Rng::RestoreState) {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Returns the next raw 64-bit value.
-  std::uint64_t NextUint64();
+  std::uint64_t NextUint64() {
+    const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Returns an unbiased uniform integer in `[0, bound)`. `bound` must be > 0.
-  std::uint64_t UniformUint64(std::uint64_t bound);
+  std::uint64_t UniformUint64(std::uint64_t bound) {
+    CA_CHECK_GT(bound, 0ULL);
+    // Rejection sampling to avoid modulo bias: a draw below the threshold
+    // 2^64 mod bound is redrawn. The threshold is below `bound`, so any
+    // draw r >= bound passes without it, and the threshold's division is
+    // paid only when r < bound (almost never for the bounds used here).
+    for (;;) {
+      const std::uint64_t r = NextUint64();
+      if (r >= bound || r >= (0ULL - bound) % bound) return r % bound;
+    }
+  }
 
   /// Returns a uniform integer in `[lo, hi)` (half-open). Requires `lo < hi`.
   int UniformInt(int lo, int hi);
@@ -89,6 +109,10 @@ class Rng CA_CHECKPOINTED(Rng::SaveState, Rng::RestoreState) {
   void RestoreState(const RngState& state);
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,9 @@
 #include "data/target_items.h"
 #include "rec/evaluator.h"
 #include "rec/matrix_factorization.h"
+#include "util/csv.h"
 #include "util/rng.h"
+#include "util/string_utils.h"
 
 namespace copyattack::data {
 namespace {
@@ -632,6 +635,131 @@ TEST(IoTest, CrlfAndBlankLinesLoad) {
   ASSERT_EQ(loaded.target.num_users(), 2U);
   EXPECT_EQ(loaded.target.UserProfile(0), (Profile{1, 2}));
   EXPECT_EQ(loaded.target.UserProfile(1), (Profile{3}));
+}
+
+/// Reads the data rows (header dropped) of a saved domain file.
+std::vector<std::string> DataRows(const std::string& path) {
+  std::vector<std::string> rows;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) rows.push_back(line);
+  if (!rows.empty()) rows.erase(rows.begin());
+  return rows;
+}
+
+void ExpectSameDataset(const Dataset& actual, const Dataset& expected) {
+  ASSERT_EQ(actual.num_users(), expected.num_users());
+  ASSERT_EQ(actual.num_items(), expected.num_items());
+  EXPECT_EQ(actual.num_interactions(), expected.num_interactions());
+  for (UserId u = 0; u < expected.num_users(); ++u) {
+    EXPECT_EQ(actual.UserProfile(u), expected.UserProfile(u)) << "user " << u;
+  }
+  for (ItemId i = 0; i < expected.num_items(); ++i) {
+    EXPECT_EQ(actual.ItemProfile(i), expected.ItemProfile(i)) << "item " << i;
+  }
+}
+
+TEST(IoTest, PlainAndGeneralRowsLoadTheSameDataset) {
+  const SyntheticWorld world =
+      GenerateSyntheticWorld(SyntheticConfig::Tiny());
+  const std::string prefix = testing::TempDir() + "/ca_io_two_paths";
+  ASSERT_TRUE(SaveCrossDomain(world.dataset, prefix));
+  const std::vector<std::string> rows = DataRows(prefix + ".source.csv");
+  ASSERT_GT(rows.size(), 8U);
+
+  // Every plain row "u,i,p" again in a form only the general parse takes
+  // (quoted, space- or tab-padded, CRLF-terminated, then a blank line),
+  // each form on every fourth row; leading zeros stay on the plain path.
+  std::string general = "user,item,position\n";
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::vector<std::string> f = util::Split(rows[r], ',');
+    ASSERT_EQ(f.size(), 3U);
+    switch (r % 4) {
+      case 0:
+        general += "\"" + f[0] + "\",\"" + f[1] + "\",\"" + f[2] + "\"\n";
+        break;
+      case 1:
+        general += " " + f[0] + " ,\t" + f[1] + "," + f[2] + " \n";
+        break;
+      case 2:
+        general += rows[r] + "\r\n\r\n";
+        break;
+      default:
+        general += "00" + f[0] + ",0" + f[1] + "," + f[2] + "\n\n";
+        break;
+    }
+  }
+  CrossDomainDataset plain("x", 1);
+  IoError error;
+  ASSERT_TRUE(LoadCrossDomain(prefix, &plain, &error)) << error.Format();
+  {
+    std::ofstream out(prefix + ".source.csv", std::ios::trunc);
+    out << general;
+  }
+  CrossDomainDataset decorated("x", 1);
+  ASSERT_TRUE(LoadCrossDomain(prefix, &decorated, &error)) << error.Format();
+  ExpectSameDataset(plain.source, world.dataset.source);
+  ExpectSameDataset(decorated.source, world.dataset.source);
+  for (const char* suffix : {".meta.csv", ".target.csv", ".source.csv"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+/// The IoError message LoadDomain gives a data row through the general
+/// parse (util::ParseCsvLine + util::ParseSizeT), or "" for a row it
+/// accepts.
+std::string GeneralPathRowError(const std::string& line,
+                                std::size_t num_items) {
+  const std::vector<std::string> fields = util::ParseCsvLine(line);
+  if (fields.size() != 3) {
+    return "expected 3 fields, got " + std::to_string(fields.size());
+  }
+  std::size_t values[3] = {};
+  for (std::size_t f = 0; f < 3; ++f) {
+    if (!util::ParseSizeT(fields[f], &values[f])) return "non-numeric field";
+  }
+  if (values[1] >= num_items) {
+    return "item id " + std::to_string(values[1]) + " out of range (" +
+           std::to_string(num_items) + " items)";
+  }
+  return "";
+}
+
+TEST(IoCorruptTest, RowErrorsMatchTheGeneralParse) {
+  const std::size_t num_items =
+      GenerateSyntheticWorld(SyntheticConfig::Tiny()).dataset.target.num_items();
+  // Each bad row follows two good ones and three skipped blank lines, so
+  // it is data row 3 and reported on line 4; a CRLF row loses its CR
+  // before parsing.
+  const std::string bad_rows[] = {
+      "\"0\",\"x\",\"1\"",             // quoted, non-numeric
+      "\"0\",1",                        // quoted, two fields
+      " -1 ,1,0",                       // space-padded, signed
+      "0, 1 x,0",                       // space-padded, trailing junk
+      "+0,1,0",                         // signed
+      "-0,1,0",                         // signed
+      "18446744073709551616,1,0",       // overflows size_t
+      "0,1,99999999999999999999999",    // overflows size_t
+      "0,18446744073709551615,0",       // fits, but no such item
+      "0,1\r",                          // CRLF, two fields
+      "0,1,0,\r",                       // CRLF, four fields
+      "0,,0",                           // empty field
+      ",,",                             // empty fields
+      "0;1;0",                          // wrong separator
+  };
+  for (const std::string& bad : bad_rows) {
+    std::string line = bad;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    const std::string expected = GeneralPathRowError(line, num_items);
+    ASSERT_FALSE(expected.empty()) << bad;
+
+    CorruptFixture fixture("row_error");
+    fixture.Overwrite(".target.csv", "user,item,position\n0,1,0\r\n\n\n0,2,1\n\r\n" +
+                                         bad + "\n0,3,2\n");
+    const IoError error = fixture.ExpectLoadFails();
+    EXPECT_EQ(error.file, fixture.prefix() + ".target.csv") << bad;
+    EXPECT_EQ(error.line, 4U) << bad;
+    EXPECT_EQ(error.message, expected) << bad;
+  }
 }
 
 TEST(IoCorruptTest, WrongHeaderReportsLineOne) {

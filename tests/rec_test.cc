@@ -1,9 +1,12 @@
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -861,6 +864,55 @@ TEST(BprEpochTest, UpdatesSeeEveryTripleInDrawOrder) {
   });
   EXPECT_EQ(calls, 1U);
   ExpectSameRngState(rng, reference_rng);
+}
+
+TEST(BprEpochTest, ThrowingUpdateRethrowsWithDrawerJoined) {
+  const data::Dataset train = MakeBprEpochDataset();
+  // The RNG state after each whole chunk of one uninterrupted draw. The
+  // drawer stops only between chunks, so after an epoch cut short the RNG
+  // must hold one of these states.
+  std::vector<util::RngState> after_chunk;
+  {
+    util::Rng reference(testhelpers::TestSeed(61));
+    std::size_t steps_left = train.num_interactions();
+    std::vector<BprTriple> chunk(4096);
+    while (steps_left > 0) {
+      DrawBprTriples(train, reference, &steps_left, chunk.data(),
+                     chunk.size());
+      after_chunk.push_back(reference.SaveState());
+    }
+  }
+  ASSERT_GE(after_chunk.size(), 7U);
+
+  // The first chunk, and a middle one of the epoch.
+  for (const std::size_t throw_at : {std::size_t{0}, std::size_t{3}}) {
+    util::Rng rng(testhelpers::TestSeed(61));
+    std::size_t calls = 0;
+    try {
+      RunBprEpoch(train, rng, [&](const BprTriple*, std::size_t) {
+        if (calls++ == throw_at) {
+          // Give the drawer time to fill the ring and block in its wait,
+          // so cancelling has to wake it.
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("update failed");
+        }
+      });
+      ADD_FAILURE() << "RunBprEpoch returned; chunk " << throw_at;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "update failed");
+    }
+    EXPECT_EQ(calls, throw_at + 1);
+    // Chunk `throw_at` is never released, so the drawer published chunks
+    // up to at most `throw_at + 3` (a ring of 4) and was joined after.
+    const util::RngState state = rng.SaveState();
+    bool at_chunk_boundary = false;
+    for (std::size_t c = throw_at; c < throw_at + 4; ++c) {
+      at_chunk_boundary =
+          at_chunk_boundary ||
+          std::equal(state.words, state.words + 4, after_chunk[c].words);
+    }
+    EXPECT_TRUE(at_chunk_boundary) << "chunk " << throw_at;
+  }
 }
 
 // --- PinSageLite cached neighbor weights ------------------------------------

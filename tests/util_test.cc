@@ -66,6 +66,41 @@ TEST(RngTest, UniformCoversAllBuckets) {
   }
 }
 
+/// `Rng::UniformUint64` as it computed the rejection threshold before the
+/// threshold became lazy: eagerly, once per call.
+std::uint64_t EagerThresholdUniform(Rng& raw, std::uint64_t bound) {
+  const std::uint64_t threshold = (0ULL - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = raw.NextUint64();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(RngTest, UniformUint64MatchesEagerThresholdDrawForDraw) {
+  // 2^63 + 1 has threshold 2^63 - 1, so about half of all raw draws are
+  // rejected; 2^64 - 1 has threshold 1; 1 has threshold 0.
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  64,
+                                  1100,
+                                  20000,
+                                  (std::uint64_t{1} << 32) + 1,
+                                  (std::uint64_t{1} << 63) + 1,
+                                  ~std::uint64_t{0}};
+  for (const std::uint64_t bound : bounds) {
+    Rng lazy(testhelpers::TestSeed(59));
+    Rng eager(testhelpers::TestSeed(59));
+    for (int i = 0; i < 4000; ++i) {
+      ASSERT_EQ(lazy.UniformUint64(bound), EagerThresholdUniform(eager, bound))
+          << "bound " << bound << " draw " << i;
+    }
+    const RngState a = lazy.SaveState();
+    const RngState b = eager.SaveState();
+    for (int w = 0; w < 4; ++w) EXPECT_EQ(a.words[w], b.words[w]) << bound;
+  }
+}
+
 TEST(RngTest, NormalHasExpectedMoments) {
   Rng rng(testhelpers::TestSeed(13));
   double sum = 0.0, sum_sq = 0.0;

@@ -15,10 +15,13 @@ bool IsSourceFile(const fs::path& path) {
   return ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp";
 }
 
+/// True when a pattern is a prefix of the root-relative path. Prefixes,
+/// not substrings: `tools/analyze/fixtures/` must not also drop a nested
+/// `src/tools/analyze/fixtures/` copy.
 bool IsExcluded(const std::string& rel_path,
                 const std::vector<std::string>& excludes) {
   for (const std::string& pattern : excludes) {
-    if (rel_path.find(pattern) != std::string::npos) return true;
+    if (rel_path.compare(0, pattern.size(), pattern) == 0) return true;
   }
   return false;
 }

@@ -41,7 +41,8 @@ struct ScanOptions {
   std::string root = ".";
   /// Directories (or single files), relative to root.
   std::vector<std::string> targets;
-  /// Path substrings to skip (seeded-violation corpora, build trees).
+  /// Root-relative path prefixes to skip (seeded-violation corpora,
+  /// build trees).
   std::vector<std::string> excludes;
 };
 

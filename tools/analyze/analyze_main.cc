@@ -2,7 +2,7 @@
 //
 //   copyattack-analyze --root=<repo> [--layers=<toml>] [--pass=a,b,...]
 //                      [--format=text|json|sarif] [--baseline=<json>]
-//                      [--exclude=<substr>]... [--list-rules]
+//                      [--exclude=<prefix>]... [--list-rules]
 //                      [target dirs...]
 //
 // Passes: include (module layering + cycles + IWYU-lite), thread
